@@ -372,14 +372,10 @@ def expansion_coefficient_functions(z: float, lam: float, gam: float,
     b0 = sp2 * math.gamma((z + 1.0) / 2.0) / math.gamma((z + 2.0) / 2.0)
     bval = b0 * (-lam + (lam - 3.0 * gam) * (z + 1.0) / (z + 2.0)
                  + 3.0 * gam * (z + 1.0) * (z + 3.0) / ((z + 2.0) * (z + 4.0)))
-    c0 = b0 * (-lam + (lam - 3.0 * gam + delta * (z + 1.0) / 2.0) * (z + 1.0) / (z + 2.0)
-               + (3.0 * gam + kappa * (z + 1.0) / 2.0)
-               * (z + 1.0) * (z + 3.0) / ((z + 2.0) * (z + 4.0)))
-    c_inv = b0 * (delta + kappa * (z + 1.0) / (z + 2.0))
+    c0, c_inv = _coef_c_bracket(z, lam, gam, delta, kappa)
     g0 = sp2 * math.gamma((z + 3.0) / 2.0) / math.gamma((z + 4.0) / 2.0)
-    gval = g0 * (delta ** 2 + 2.0 * delta * kappa * (z + 3.0) / (z + 4.0)
-                 + kappa ** 2 * (z + 3.0) * (z + 5.0) / ((z + 4.0) * (z + 6.0)))
-    return (a0, a1, a2), bval, (c0, c_inv), gval
+    gval = g0 * _coef_g_bracket(z, delta, kappa)
+    return (a0, a1, a2), bval, (b0 * c0, b0 * c_inv), gval
 
 
 def _coef_c_bracket(z: float, lam: float, gam: float, delta: float,

@@ -31,7 +31,7 @@ from typing import Literal
 
 from scipy import special as _sp
 
-from .debye import debye_u, debye_v, get_max_order
+from .debye import MAX_ORDER, debye_u, debye_v
 from .signedlog import SignedLog, signed_log_sum
 
 __all__ = ["log_bessel_i", "log_bessel_k", "robin_combination"]
@@ -115,7 +115,7 @@ def _debye_series(nu: float, t: float, kind: str, sign_alternate: bool,
     inv = 1.0 / nu
     fac = 1.0
     prev = math.inf
-    for k in range(1, get_max_order() + 1):
+    for k in range(1, MAX_ORDER + 1):
         fac *= inv
         if kind == "u":
             c = _horner(_u_float(k), t)

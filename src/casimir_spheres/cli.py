@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .asymptotics import high_T_expansion, pfa_energy, zero_T_expansion
+from .asymptotics import (_channel_weight, high_T_expansion, pfa_energy,
+                          zero_T_expansion)
 from .errors import NonConvergenceError, OutOfRegimeError
 from .exact import force as force_fn, free_energy, zero_T_energy
 from .geometry import Geometry, TruncationPolicy
@@ -86,10 +87,6 @@ class RunConfig:
         if self.mode == "point" and (len(self.dims) * len(self.eps_list)
                                      * len(self.temps) * len(self.bc_pairs)) != 1:
             raise ConfigError("mode=point takes exactly one (dim, eps, T, bc) point")
-
-    def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(rel_tol=self.rel_tol, l_max_hard=self.l_max_hard,
-                                p_max_hard=self.p_max_hard)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -197,6 +194,13 @@ def build_config(argv) -> RunConfig:
     return cfg
 
 
+def _result_row(dim, geom, eps, temp, bc, channel, method, energy, frc, l_used,
+                p_used, err, status) -> dict:
+    return dict(zip(RESULT_FIELDS, (dim, geom.a1, geom.a2, eps, temp, bc.inner.value,
+                                    bc.outer.value, channel, method, energy, frc,
+                                    l_used, p_used, err, status)))
+
+
 def _compute_point(task) -> list[dict]:
     """All rows for one (dim, eps, T, bc) grid point; runs in a worker."""
     dim, eps, temp, bc_str, channels, rel_tol, l_max, p_max, with_force = task
@@ -207,12 +211,8 @@ def _compute_point(task) -> list[dict]:
 
     def row(channel_name, method, energy, l_used=0, p_used=0, err=None,
             frc=None, status="ok"):
-        rows.append({"D": dim, "a1": geom.a1, "a2": geom.a2, "eps": eps,
-                     "T": temp, "bc_inner": bc.inner.value,
-                     "bc_outer": bc.outer.value, "channel": channel_name,
-                     "method": method, "energy": energy, "force": frc,
-                     "l_used": l_used, "p_used": p_used,
-                     "error_estimate": err, "status": status})
+        rows.append(_result_row(dim, geom, eps, temp, bc, channel_name, method,
+                                energy, frc, l_used, p_used, err, status))
 
     regime = "zeroT" if temp == 0.0 else "highT"
     for ch_name in channels:
@@ -224,16 +224,20 @@ def _compute_point(task) -> list[dict]:
                 res = zero_T_energy(geom, bc, ch, policy)
             else:
                 res = free_energy(geom, bc, ch, temp, policy)
-            frc = None
-            if with_force and ch is None:
-                frc = force_fn(geom, bc, temp, policy)
-            row(label, "exact", res.value, res.l_used, res.p_used,
-                res.error_estimate, frc)
         except NonConvergenceError as exc:
             row(label, "exact", exc.partial if exc.partial is not None
                 else math.nan, status="failed")
+        else:
+            # A failed force keeps the converged energy; the row is failed.
+            frc, status = None, "ok"
+            if with_force and ch is None:
+                try:
+                    frc = force_fn(geom, bc, temp, policy)
+                except NonConvergenceError:
+                    status = "failed"
+            row(label, "exact", res.value, res.l_used, res.p_used,
+                res.error_estimate, frc, status)
         # pfa
-        from .asymptotics import _channel_weight
         w = _channel_weight(dim, ch)
         pfa = w * pfa_energy(geom, bc, regime, temp)
         row(label, "pfa", pfa)
@@ -296,12 +300,8 @@ def convergence_report(cfg: RunConfig) -> list[dict]:
             except NonConvergenceError as exc:
                 energy, err, status = exc.partial, None, "failed"
                 l_used, p_used = lcap, pcap
-            rows.append({"D": dim, "a1": geom.a1, "a2": geom.a2, "eps": eps,
-                         "T": temp, "bc_inner": bc.inner.value,
-                         "bc_outer": bc.outer.value, "channel": "total",
-                         "method": "exact", "energy": energy, "force": None,
-                         "l_used": l_used, "p_used": p_used,
-                         "error_estimate": err, "status": status})
+            rows.append(_result_row(dim, geom, eps, temp, bc, "total", "exact",
+                                    energy, None, l_used, p_used, err, status))
     return rows
 
 

@@ -22,7 +22,6 @@ polynomial is evaluated.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -36,26 +35,10 @@ __all__ = [
     "debye_eta",
     "debye_t",
     "debye_eta_prime",
-    "get_max_order",
-    "set_max_order",
 ]
 
-_DEFAULT_MAX_ORDER = 8
-_max_order = _DEFAULT_MAX_ORDER
-_order_lock = threading.Lock()
-
-
-def get_max_order() -> int:
-    return _max_order
-
-
-def set_max_order(k: int) -> None:
-    """Raise or lower the admissible recursion depth (default 8)."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("max order must be a positive integer")
-    global _max_order
-    with _order_lock:
-        globals()["_max_order"] = k
+# Highest order of the u_k/v_k tables; the Bessel series sums through it.
+MAX_ORDER = 8
 
 
 class RationalPolynomial:
@@ -161,13 +144,8 @@ _T_M_T3_HALF = RationalPolynomial([0, Fraction(1, 2), 0, Fraction(-1, 2)])
 
 
 def _check_order(k: int) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {k!r}")
-    if k > _max_order:
-        raise ValueError(
-            f"order {k} exceeds the configured maximum {_max_order}; "
-            "raise it with set_max_order()"
-        )
+    if not isinstance(k, int) or not 0 <= k <= MAX_ORDER:
+        raise ValueError(f"order must be an integer in [0, {MAX_ORDER}], got {k!r}")
 
 
 @lru_cache(maxsize=None)

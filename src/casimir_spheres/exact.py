@@ -9,16 +9,21 @@ K_nu at the two radii; at T = 0 the sum over p becomes the integral
 
     E_0 = 1/(2 pi) sum_l d_l(D) int_0^infty f_l(xi) dxi.
 
-Both series converge geometrically in l at rate exp(-2 nu log(a2/a1)); the
-stopping rules certify the discarded tails and fold them into the error
-estimate.  All reductions run in a fixed order (ascending l, ascending p)
-with compensated accumulation, so results are reproducible bit-for-bit.
+Both series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  One
+driver, _angular_sum, runs the l-sum of every route; each route brings its
+stop rule.  free_energy and zero_T_energy stop on a certified l-tail bound
+(power D-2 and D-1), folded into the error estimate; thermal_correction,
+whose per-l differences decay like T^(2 nu + 1), stops after two small
+differences past l = 3.  All reductions run in a fixed order (ascending l,
+ascending p) with compensated accumulation, so results are reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -157,10 +162,7 @@ def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     """ln(1 - M_l(xi)); at xi = 0 the closed small-argument form is used."""
     if xi < 0.0:
         raise ValueError(f"xi must be >= 0, got {xi}")
-    ctx = _LTerm(geometry, bc_pair, channel, l)
-    if xi == 0.0:
-        return ctx.f0()
-    return ctx.f(geometry.a1 * xi)
+    return _LTerm(geometry, bc_pair, channel, l).f(geometry.a1 * xi)
 
 
 def _l_tail_bound(term: float, nu_val: float, power: float, alpha: float) -> float:
@@ -242,6 +244,87 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
                         p_used=0, error_estimate=err, temperature=None)
 
 
+def _certified_stop(policy: TruncationPolicy, power: float, alpha: float):
+    """Matsubara and vacuum stop rule: a run of terms below rel_tol * |sum|.
+
+    Stops once the certified l-tail (terms ~ nu^power e^{-2 alpha nu}) is
+    below half the tolerance, after _CONSECUTIVE_SMALL small terms or after
+    one small term that fits in that half together with the tail.
+    """
+    run = 0
+
+    def rule(l, nu_val, term, total, err):
+        nonlocal run
+        tol = policy.rel_tol * abs(total)
+        run = run + 1 if abs(term) < tol else 0
+        ltail = _l_tail_bound(term, nu_val, power, alpha)
+        done = run >= _CONSECUTIVE_SMALL or ltail + abs(term) < tol * 0.5
+        return ltail if run and ltail < tol * 0.5 and done else None
+    return rule
+
+
+def _difference_stop(policy: TruncationPolicy):
+    """Thermal-correction stop rule: two small differences past l = 3.
+
+    The differences decay like T^(2 nu + 1), so no l-tail is added.
+    """
+    run = 0
+
+    def rule(l, nu_val, term, total, err):
+        nonlocal run
+        run = run + 1 if abs(term) < max(policy.rel_tol * abs(total), 0.3 * err) else 0
+        return 0.0 if run >= 2 and l >= 3 else None
+    return rule
+
+
+def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+                 policy: TruncationPolicy, block, stop, temperature: float) -> EnergyResult:
+    """Kahan sum over l of each channel's d_l-weighted per-l blocks.
+
+    ``block(l, ctx, d_l, total)`` gives one l's (term, error parts, p_used);
+    ``stop()`` makes a channel's ``rule(l, nu, term, total, err)``, which
+    returns the l-tail bound that ends the sum, or None.  On failure
+    ``partial`` is the energy of every completed l-term of every channel.
+    """
+    per_channel: dict[str, float] = {}
+    l_used = p_used = 0
+    err_total = 0.0
+    for ch in _channel_pairs(channel):
+        dpoly = degeneracy_polynomial(ch, geometry.dim)
+        rule, acc, err = stop(), _Kahan(), 0.0
+        try:
+            for l in range(1, policy.l_max_hard + 1):
+                ctx = _LTerm(geometry, bc_pair, ch, l)
+                term, errors, p = block(l, ctx, float(dpoly(ctx.nu)), acc.value)
+                acc.add(term)
+                for e in errors:
+                    err += e
+                l_used, p_used = max(l_used, l), max(p_used, p)
+                ltail = rule(l, ctx.nu, term, acc.value, err)
+                if ltail is not None:
+                    err += ltail
+                    break
+            else:
+                raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                str(exc), partial=sum(per_channel.values()) + acc.value) from None
+        per_channel[ch.value] = acc.value
+        err_total += err
+    return EnergyResult(value=sum(per_channel.values()), per_channel=per_channel,
+                        l_used=l_used, p_used=p_used, error_estimate=err_total,
+                        temperature=temperature)
+
+
+def _certified(res: EnergyResult, policy: TruncationPolicy) -> EnergyResult:
+    """Add the rounding allowance to a Matsubara or vacuum sum; enforce rel_tol."""
+    err = res.error_estimate + 8.0 * np.finfo(float).eps * abs(res.value)
+    if err > policy.rel_tol * abs(res.value):
+        raise NonConvergenceError(f"error estimate {err:.3e} exceeds rel_tol * |E| = "
+                                  f"{policy.rel_tol * abs(res.value):.3e}", partial=res.value)
+    return replace(res, error_estimate=err)
+
+
 def _matsubara_block(ctx: _LTerm, a1T: float, rel_tol: float,
                      p_max: int) -> tuple[float, float, int]:
     """f0/2 + sum_p f(u_p) for one l, with certified p-tail bound."""
@@ -249,7 +332,6 @@ def _matsubara_block(ctx: _LTerm, a1T: float, rel_tol: float,
     acc = _Kahan()
     acc.add(0.5 * ctx.f0())
     p = 1
-    tail = math.inf
     while True:
         u = du * p
         fv = ctx.f(u)
@@ -261,8 +343,7 @@ def _matsubara_block(ctx: _LTerm, a1T: float, rel_tol: float,
             break
         if p >= p_max:
             raise NonConvergenceError(
-                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={ctx.nu})",
-                partial=acc.value)
+                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={ctx.nu})")
         p += 1
     return acc.value, tail, p
 
@@ -274,53 +355,16 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
     if not T > 0.0:
         raise ValueError(f"free_energy requires T > 0, got {T}; use zero_T_energy at T=0")
     a1T = geometry.a1 * T
-    dim = geometry.dim
-    alpha = geometry.alpha_log
-    per_channel: dict[str, float] = {}
-    l_used = p_used = 0
-    err_total = 0.0
-    for ch in _channel_pairs(channel):
-        dpoly = degeneracy_polynomial(ch, dim)
-        acc = _Kahan()
-        err = 0.0
-        small_run = 0
-        l = 1
-        while True:
-            ctx = _LTerm(geometry, bc_pair, ch, l)
-            block, ptail, p = _matsubara_block(ctx, a1T, policy.rel_tol / 20.0,
-                                               policy.p_max_hard)
-            d_l = float(dpoly(ctx.nu))
-            term = T * d_l * block
-            acc.add(term)
-            err += T * d_l * ptail
-            p_used = max(p_used, p)
-            l_used = max(l_used, l)
-            small = abs(term) < policy.rel_tol * abs(acc.value)
-            small_run = small_run + 1 if small else 0
-            ltail = _l_tail_bound(term, ctx.nu, dim - 2, alpha)
-            certified = ltail < policy.rel_tol * abs(acc.value) * 0.5
-            if small_run >= _CONSECUTIVE_SMALL and certified:
-                err += ltail
-                break
-            if policy.tail_extrapolation and small_run >= 1 and certified \
-                    and ltail + abs(term) < policy.rel_tol * abs(acc.value) * 0.5:
-                err += ltail
-                break
-            if l >= policy.l_max_hard:
-                raise NonConvergenceError(
-                    f"angular sum hit l_max_hard={policy.l_max_hard}",
-                    partial=acc.value)
-            l += 1
-        per_channel[ch.value] = acc.value
-        err_total += err
-    value = sum(per_channel.values())
-    err_total += 8.0 * np.finfo(float).eps * abs(value)
-    if err_total > policy.rel_tol * abs(value):
-        raise NonConvergenceError(
-            f"free energy error estimate {err_total:.3e} exceeds "
-            f"rel_tol * |E| = {policy.rel_tol * abs(value):.3e}", partial=value)
-    return EnergyResult(value=value, per_channel=per_channel, l_used=l_used,
-                        p_used=p_used, error_estimate=err_total, temperature=T)
+
+    def matsubara_term(l, ctx, d_l, total):
+        block, ptail, p = _matsubara_block(ctx, a1T, policy.rel_tol / 20.0,
+                                           policy.p_max_hard)
+        return T * d_l * block, (T * d_l * ptail,), p
+
+    res = _angular_sum(
+        geometry, bc_pair, channel, policy, matsubara_term,
+        lambda: _certified_stop(policy, geometry.dim - 2, geometry.alpha_log), T)
+    return _certified(res, policy)
 
 
 def _pick_cut(ctx: _LTerm, ftol: float) -> float:
@@ -358,61 +402,24 @@ def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
                   channel: Optional[Channel] = None,
                   policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
     """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
-    dim = geometry.dim
-    alpha = geometry.alpha_log
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
-    per_channel: dict[str, float] = {}
-    l_used = 0
-    err_total = 0.0
-    for ch in _channel_pairs(channel):
-        dpoly = degeneracy_polynomial(ch, dim)
-        acc = _Kahan()
-        err = 0.0
-        small_run = 0
-        l = 1
-        scale = None
-        while True:
-            ctx = _LTerm(geometry, bc_pair, ch, l)
-            d_l = float(dpoly(ctx.nu))
-            if scale is None:
-                integral, ierr = _zero_t_integral(ctx, epsabs=0.0,
-                                                  epsrel=policy.rel_tol / 10.0)
-                scale = abs(d_l * integral)
-            else:
-                epsabs = max(policy.rel_tol * max(abs(acc.value), scale * inv_2pi_a1)
-                             / (40.0 * d_l * inv_2pi_a1), 1e-280)
-                integral, ierr = _zero_t_integral(ctx, epsabs=epsabs,
-                                                  epsrel=policy.rel_tol / 10.0)
-            term = inv_2pi_a1 * d_l * integral
-            acc.add(term)
-            err += inv_2pi_a1 * d_l * ierr
-            l_used = max(l_used, l)
-            small = abs(term) < policy.rel_tol * abs(acc.value)
-            small_run = small_run + 1 if small else 0
-            ltail = _l_tail_bound(term, ctx.nu, dim - 1, alpha)
-            certified = ltail < policy.rel_tol * abs(acc.value) * 0.5
-            if small_run >= _CONSECUTIVE_SMALL and certified:
-                err += ltail
-                break
-            if policy.tail_extrapolation and small_run >= 1 and certified \
-                    and ltail + abs(term) < policy.rel_tol * abs(acc.value) * 0.5:
-                err += ltail
-                break
-            if l >= policy.l_max_hard:
-                raise NonConvergenceError(
-                    f"angular sum hit l_max_hard={policy.l_max_hard}",
-                    partial=acc.value)
-            l += 1
-        per_channel[ch.value] = acc.value
-        err_total += err
-    value = sum(per_channel.values())
-    err_total += 8.0 * np.finfo(float).eps * abs(value)
-    if err_total > policy.rel_tol * abs(value):
-        raise NonConvergenceError(
-            f"zero-T error estimate {err_total:.3e} exceeds rel_tol * |E|",
-            partial=value)
-    return EnergyResult(value=value, per_channel=per_channel, l_used=l_used,
-                        p_used=0, error_estimate=err_total, temperature=0.0)
+    scale = 0.0
+
+    def vacuum_term(l, ctx, d_l, total):
+        # l = 1 has no running sum; it sets the scale of the later absolute targets.
+        nonlocal scale
+        epsabs = 0.0 if l == 1 else max(
+            policy.rel_tol * max(abs(total), scale * inv_2pi_a1)
+            / (40.0 * d_l * inv_2pi_a1), 1e-280)
+        integral, ierr = _zero_t_integral(ctx, epsabs=epsabs, epsrel=policy.rel_tol / 10.0)
+        if l == 1:
+            scale = abs(d_l * integral)
+        return inv_2pi_a1 * d_l * integral, (inv_2pi_a1 * d_l * ierr,), 0
+
+    res = _angular_sum(
+        geometry, bc_pair, channel, policy, vacuum_term,
+        lambda: _certified_stop(policy, geometry.dim - 1, geometry.alpha_log), 0.0)
+    return _certified(res, policy)
 
 
 def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
@@ -429,49 +436,25 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     if not T > 0.0:
         raise ValueError(f"thermal_correction requires T > 0, got {T}")
     a1T = geometry.a1 * T
-    dim = geometry.dim
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
-    per_channel: dict[str, float] = {}
-    l_used = p_used = 0
-    err_total = 0.0
-    warn_msgs: list[str] = []
-    for ch in _channel_pairs(channel):
-        dpoly = degeneracy_polynomial(ch, dim)
-        acc = _Kahan()
-        err = 0.0
-        small_run = 0
-        l = 1
-        while True:
-            ctx = _LTerm(geometry, bc_pair, ch, l)
-            d_l = float(dpoly(ctx.nu))
-            block, ptail, p = _matsubara_block(ctx, a1T, 1e-14, policy.p_max_hard)
-            integral, ierr = _zero_t_integral(ctx, epsabs=0.0, epsrel=2e-14)
-            delta = d_l * (T * block - inv_2pi_a1 * integral)
-            acc.add(delta)
-            err += d_l * (T * ptail + inv_2pi_a1 * ierr)
-            err += d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
-            l_used = max(l_used, l)
-            p_used = max(p_used, p)
-            small = abs(delta) < max(policy.rel_tol * abs(acc.value), 0.3 * err)
-            small_run = small_run + 1 if small else 0
-            if small_run >= 2 and l >= 3:
-                break
-            if l >= policy.l_max_hard:
-                raise NonConvergenceError(
-                    f"thermal correction hit l_max_hard={policy.l_max_hard}",
-                    partial=acc.value)
-            l += 1
-        per_channel[ch.value] = acc.value
-        err_total += err
-    value = sum(per_channel.values())
-    if abs(value) < 10.0 * err_total:
-        msg = (f"thermal correction {value:.3e} is within a decade of its "
-               f"combined error estimate {err_total:.3e}; digits are not trustworthy")
+
+    def difference_term(l, ctx, d_l, total):
+        block, ptail, p = _matsubara_block(ctx, a1T, 1e-14, policy.p_max_hard)
+        integral, ierr = _zero_t_integral(ctx, epsabs=0.0, epsrel=2e-14)
+        delta = d_l * (T * block - inv_2pi_a1 * integral)
+        truncation = d_l * (T * ptail + inv_2pi_a1 * ierr)
+        rounding = d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
+        # Two separate additions: their sum would move error_estimate by an ulp.
+        return delta, (truncation, rounding), p
+
+    res = _angular_sum(geometry, bc_pair, channel, policy, difference_term,
+                       lambda: _difference_stop(policy), T)
+    if abs(res.value) < 10.0 * res.error_estimate:
+        msg = (f"thermal correction {res.value:.3e} is within a decade of its combined "
+               f"error estimate {res.error_estimate:.3e}; digits are not trustworthy")
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        warn_msgs.append(msg)
-    return EnergyResult(value=value, per_channel=per_channel, l_used=l_used,
-                        p_used=p_used, error_estimate=err_total, temperature=T,
-                        warnings=tuple(warn_msgs))
+        res = replace(res, warnings=(msg,))
+    return res
 
 
 def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,

@@ -57,16 +57,12 @@ class TruncationPolicy:
     """Stopping rules for the angular and Matsubara sums.
 
     ``rel_tol`` is the target relative accuracy of the returned energy;
-    the hard caps bound the angular and frequency sums regardless.  With
-    ``tail_extrapolation`` on, sums may terminate as soon as the certified
-    geometric tail bound drops below tolerance (the bound is always folded
-    into the error estimate).
+    the hard caps bound the angular and frequency sums regardless.
     """
 
     rel_tol: float = 1e-9
     l_max_hard: int = 20000
     p_max_hard: int = 10**6
-    tail_extrapolation: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3):

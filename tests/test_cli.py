@@ -186,6 +186,23 @@ def test_force_column(capsys):
     assert exact["force"] is not None and exact["force"] < 0
 
 
+def test_failed_force_keeps_converged_energy(capsys):
+    # the energy converges at l = 33; the force stencil's eps - h point needs l = 34
+    argv = ["--mode", "point", "--dim", "3", "--eps", "0.323", "--temp", "1",
+            "--bc", "pc,pc", "--channel", "total", "--rel-tol", "1e-6",
+            "--l-max", "33"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    plain = parse_output(out)[0]
+    code, out, _ = run_cli(capsys, argv + ["--force"])
+    assert code == 2
+    row = parse_output(out)[0]
+    assert row["method"] == "exact" and row["status"] == "failed"
+    assert row["force"] is None
+    for key in ("energy", "l_used", "p_used", "error_estimate"):
+        assert row[key] == plain[key]
+
+
 def test_selftest_mode(tmp_path, capsys):
     out_path = tmp_path / "selftest.txt"
     code, _, _ = run_cli(capsys, ["--mode", "selftest", "--out", str(out_path)])

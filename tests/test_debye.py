@@ -6,7 +6,6 @@ import pytest
 from casimir_spheres import (RationalPolynomial, debye_d, debye_eta,
                              debye_eta_prime, debye_m, debye_t, debye_u,
                              debye_v)
-from casimir_spheres.debye import get_max_order, set_max_order
 
 
 def F(a, b=1):
@@ -26,7 +25,7 @@ def test_u2_known_value():
 
 def test_u_degree_and_sparsity():
     # u_k has degree 3k and only powers t^k, t^(k+2), ..., t^(3k)
-    for k in range(0, 7):
+    for k in range(0, 9):
         u = debye_u(k)
         assert u.degree == 3 * k
         for p, c in enumerate(u.coefficients):
@@ -61,16 +60,11 @@ def test_d3_formal_log_order_three():
 
 
 def test_max_order_gate():
-    assert get_max_order() == 8
-    with pytest.raises(ValueError):
-        debye_u(9)
-    set_max_order(10)
-    try:
-        assert debye_u(9).degree == 27
-    finally:
-        set_max_order(8)
-    with pytest.raises(ValueError):
-        debye_u(-1)
+    # the tables stop at the fixed order 8 the Bessel series sums through
+    assert debye_u(8).degree == 24
+    for k in (9, -1):
+        with pytest.raises(ValueError):
+            debye_u(k)
 
 
 def test_eta_t_values():

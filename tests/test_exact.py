@@ -241,10 +241,50 @@ def test_zero_t_vanishes_at_large_separation():
     assert abs(far) < 1e-4 * abs(near)
 
 
-def test_zero_t_hard_cap():
-    with pytest.raises(NonConvergenceError):
-        zero_T_energy(Geometry.from_eps(0.1, 3), PCPC, None,
-                      TruncationPolicy(l_max_hard=3))
+# Every route shares the angular-sum driver's failure path.
+_CAP_CALLS = {
+    "zero_T_energy": lambda g, pol: zero_T_energy(g, PCPC, None, pol),
+    "free_energy": lambda g, pol: free_energy(g, PCPC, None, 0.5, pol),
+    "thermal_correction": lambda g, pol: thermal_correction(g, PCPC, None, 0.05, pol),
+}
+
+
+@pytest.mark.parametrize("route,cap", [
+    ("zero_T_energy", "l_max_hard"),
+    ("free_energy", "l_max_hard"),
+    ("free_energy", "p_max_hard"),
+    ("thermal_correction", "l_max_hard"),
+    ("thermal_correction", "p_max_hard"),
+])
+def test_zero_t_hard_cap(route, cap):
+    policy = TruncationPolicy(rel_tol=1e-6, **{cap: 3})
+    with pytest.raises(NonConvergenceError) as info:
+        _CAP_CALLS[route](Geometry.from_eps(0.1, 3), policy)
+    assert math.isfinite(info.value.partial)
+
+
+def test_partial_is_energy_of_completed_l_terms():
+    # a p-cap failure at l = 9 reports the energy of l = 1..8, as the l-cap does
+    g = Geometry.from_eps(0.5, 3)
+    partials = []
+    for policy in (TruncationPolicy(p_max_hard=45), TruncationPolicy(l_max_hard=8)):
+        with pytest.raises(NonConvergenceError) as info:
+            free_energy(g, PCPC, Channel.TE, 0.1, policy)
+        partials.append(info.value.partial)
+    assert partials[0] == partials[1]
+    assert partials[0] == pytest.approx(-0.8617, abs=1e-4)
+
+
+def test_partial_keeps_finished_channels():
+    # at l_max_hard = 23 the TE sum of this ip/pc pair stops in time, TM does not
+    g = Geometry.from_eps(0.5, 3)
+    cap = TruncationPolicy(rel_tol=1e-6, l_max_hard=23)
+    te = free_energy(g, IPPC, Channel.TE, 0.5, cap)
+    with pytest.raises(NonConvergenceError) as tm:
+        free_energy(g, IPPC, Channel.TM, 0.5, cap)
+    with pytest.raises(NonConvergenceError) as total:
+        free_energy(g, IPPC, None, 0.5, cap)
+    assert total.value.partial == te.value + tm.value.partial
 
 
 # --- thermal correction and force ---------------------------------------------

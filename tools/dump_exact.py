@@ -1,0 +1,82 @@
+"""Dump every field of the exact energies on a fixed grid, bit for bit.
+
+Each line is one call: its arguments, then either the full result (value,
+per-channel split, l_used, p_used, error_estimate, warnings; floats as
+float.hex) or the exception type and its ``partial``.  Two checkouts give
+byte-identical dumps exactly when a change leaves the numbers untouched:
+
+    PYTHONPATH=src python3 tools/dump_exact.py > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import warnings
+
+from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
+                             TruncationPolicy, classical_term, free_energy,
+                             thermal_correction, zero_T_energy)
+
+T_FREE = 0.5
+T_THERMAL = 0.1
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _record(label, fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = fn(*args)
+        except NonConvergenceError as exc:
+            return {"call": label, "raised": type(exc).__name__,
+                    "partial": _hex(exc.partial)}
+    return {"call": label, "value": _hex(res.value),
+            "per_channel": {k: _hex(v) for k, v in sorted(res.per_channel.items())},
+            "l_used": res.l_used, "p_used": res.p_used,
+            "error_estimate": _hex(res.error_estimate),
+            "warnings": list(res.warnings),
+            "warned": [str(w.message) for w in caught]}
+
+
+def calls():
+    """(label, function, args) for every call of the dump."""
+    fast = TruncationPolicy(rel_tol=1e-6)
+    grid = itertools.product((3, 4), (0.3, 0.6), ("pc,pc", "pc,ip", "ip,pc"),
+                             (None, Channel.TE))
+    for dim, eps, bc, ch in grid:
+        g, pair = Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc)
+        tag = f"D={dim} eps={eps} bc={bc} ch={ch and ch.value}"
+        yield f"free T={T_FREE} {tag}", free_energy, (g, pair, ch, T_FREE, fast)
+        yield f"zeroT {tag}", zero_T_energy, (g, pair, ch, fast)
+        yield (f"thermal T={T_THERMAL} {tag}", thermal_correction,
+               (g, pair, ch, T_THERMAL, fast))
+        yield f"classical {tag}", classical_term, (g, pair, ch)
+    g3 = Geometry.from_eps(0.1, 3)
+    pcpc = BoundaryPair.from_string("pc,pc")
+    cap3 = TruncationPolicy(rel_tol=1e-6, l_max_hard=3)
+    yield "zeroT l_max_hard=3", zero_T_energy, (g3, pcpc, None, cap3)
+    yield "free l_max_hard=3", free_energy, (g3, pcpc, None, 0.5, cap3)
+    yield "thermal l_max_hard=3", thermal_correction, (g3, pcpc, None, 0.05, cap3)
+    yield "thermal T=1e-3 (warns)", thermal_correction, (g3, pcpc, None, 1e-3)
+    yield "zeroT rel_tol=1e-9", zero_T_energy, (Geometry.from_eps(0.3, 3), pcpc)
+    g5 = Geometry.from_eps(0.5, 3)
+    yield ("free p_max_hard=45 TE", free_energy,
+           (g5, pcpc, Channel.TE, 0.1, TruncationPolicy(p_max_hard=45)))
+    yield ("free l_max_hard=8 TE", free_energy,
+           (g5, pcpc, Channel.TE, 0.1, TruncationPolicy(l_max_hard=8)))
+    yield ("free p_max_hard=45 total", free_energy,
+           (g5, pcpc, None, 0.1, TruncationPolicy(p_max_hard=45)))
+
+
+def main() -> None:
+    for label, fn, args in calls():
+        print(json.dumps(_record(label, fn, *args), sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -5,15 +5,25 @@ Three evaluation branches, selected per (nu, z):
 * ascending power series in log form for z <= 30 (any order) -- the sum has
   positive terms only, so it is cancellation free;
 * scaled AMOS routines (scipy ive/kve) for moderate orders and larger z;
-* uniform large-order asymptotics in eta(z/nu), t(z/nu) for nu >= 50, built
-  from the exact u_k/v_k polynomials of :mod:`casimir_spheres.debye`.
+* uniform large-order asymptotics (DLMF 10.41) for nu >= 50,
+
+      ln I = nu eta - ln(2 pi nu)/2 - ln(w)/2 + ln(1 + E + O),
+      ln K = -nu eta + ln(pi/(2 nu))/2 - ln(w)/2 + ln(1 + E - O),
+
+  with w = sqrt(1 + (z/nu)^2), eta = w + ln((z/nu)/(1 + w)), and E, O the
+  even- and odd-order parts of sum_k u_k(1/w)/nu^k.  All terms through
+  debye.MAX_ORDER are summed: at nu >= 50 they need no stop rule.
+
+_uniform_series gives (eta, w, E, O), also for the Robin series
+a_k = v_k + (alpha/beta) t u_{k-1}; the exact module builds ln M_l from it in
+ratio form, where the sqrt(nu) and w prefactors of I and K cancel.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
 for nu <= 1e4 and z/nu in [1e-3, 1e3].
 
-Robin combinations alpha*B + beta*z*B' are assembled from the exact
-derivative identities
+Robin combinations alpha*B + beta*z*B' are assembled, at every order, from
+the exact derivative identities
 
     I'_nu = I_{nu+1} + (nu/z) I_nu,          K'_nu = -K_{nu+1} + (nu/z) K_nu,
     I'_nu = I_{nu-1} - (nu/z) I_nu,          K'_nu = -K_{nu-1} - (nu/z) K_nu,
@@ -88,67 +98,47 @@ def _log_k_smallz(nu: float, z: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _u_float(k: int):
-    return debye_u(k)._float_coeffs
+def _series_terms(ratio) -> tuple:
+    """The polynomials a_1 .. a_MAX_ORDER of _uniform_series."""
+    if ratio is None:
+        return tuple(debye_u(k) for k in range(1, MAX_ORDER + 1))
+    return tuple(debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
+                 for k in range(1, MAX_ORDER + 1))
 
 
-@lru_cache(maxsize=64)
-def _v_float(k: int):
-    return debye_v(k)._float_coeffs
+def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, float, float]:
+    """(eta, w, E, O) of the uniform expansion (module docstring) at nu, z.
 
-
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _debye_series(nu: float, t: float, kind: str, sign_alternate: bool,
-                  alpha_t_over: float = 0.0) -> float:
-    """1 + sum_k c_k(t)/nu^k with c_k = u_k, or v_k + alpha*t*u_{k-1}.
-
-    ``alpha_t_over`` carries alpha*t for the Robin series; ``sign_alternate``
-    flips odd terms (the K-type series).
+    E and O are the even- and odd-order parts of sum_k a_k(1/w)/nu^k, with
+    a_k = u_k for ``ratio`` None (I and K) and a_k = v_k + ratio*t*u_{k-1}
+    for alpha*B + beta*z*B', ratio = alpha/beta.  The I-type series is
+    1 + E + O, the K-type one 1 + E - O.
     """
-    s = 1.0
-    inv = 1.0 / nu
+    zb = z / nu
+    w = math.hypot(1.0, zb)
+    t = 1.0 / w
+    eta = w + math.log(zb / (1.0 + w))
+    even = odd = 0.0
     fac = 1.0
-    prev = math.inf
-    for k in range(1, MAX_ORDER + 1):
-        fac *= inv
-        if kind == "u":
-            c = _horner(_u_float(k), t)
+    for k, a in enumerate(_series_terms(ratio), 1):
+        fac /= nu
+        if k % 2:
+            odd += a(t) * fac
         else:
-            c = _horner(_v_float(k), t) + alpha_t_over * _horner(_u_float(k - 1), t)
-        term = c * fac
-        if sign_alternate and (k % 2 == 1):
-            term = -term
-        if abs(term) > prev:
-            break  # asymptotic tail started growing; stop at the smallest term
-        s += term
-        prev = abs(term)
-        if prev < 1e-18 * abs(s):
-            break
-    return s
+            even += a(t) * fac
+    return eta, w, even, odd
 
 
 def _log_i_debye(nu: float, z: float) -> float:
-    zb = z / nu
-    w = math.hypot(1.0, zb)
-    t = 1.0 / w
-    eta = w + math.log(zb / (1.0 + w))
-    s = _debye_series(nu, t, "u", sign_alternate=False)
-    return nu * eta - 0.5 * (_LOG_2PI + math.log(nu)) - 0.5 * math.log(w) + math.log(s)
+    eta, w, even, odd = _uniform_series(nu, z)
+    return nu * eta - 0.5 * (_LOG_2PI + math.log(nu)) - 0.5 * math.log(w) \
+        + math.log1p(even + odd)
 
 
 def _log_k_debye(nu: float, z: float) -> float:
-    zb = z / nu
-    w = math.hypot(1.0, zb)
-    t = 1.0 / w
-    eta = w + math.log(zb / (1.0 + w))
-    s = _debye_series(nu, t, "u", sign_alternate=True)
-    return -nu * eta + 0.5 * (_LOG_PI_OVER_2 - math.log(nu)) - 0.5 * math.log(w) + math.log(s)
+    eta, w, even, odd = _uniform_series(nu, z)
+    return -nu * eta + 0.5 * (_LOG_PI_OVER_2 - math.log(nu)) - 0.5 * math.log(w) \
+        + math.log1p(even - odd)
 
 
 def log_bessel_i(nu: float, z: float) -> float:
@@ -185,28 +175,6 @@ def _log_bessel(kind: str, nu: float, z: float) -> float:
     return log_bessel_i(nu, z) if kind == "I" else log_bessel_k(nu, z)
 
 
-def _robin_debye(alpha: float, beta: float, nu: float, z: float, kind: str) -> SignedLog:
-    # alpha*B + beta*z*B' = beta * [ (alpha/beta) B + z B' ] with the combined
-    # series 1 + sum (v_k + (alpha/beta) t u_{k-1})/nu^k (sign-alternating for K).
-    ratio = alpha / beta
-    zb = z / nu
-    w = math.hypot(1.0, zb)
-    t = 1.0 / w
-    eta = w + math.log(zb / (1.0 + w))
-    at = ratio * t
-    if kind == "I":
-        s = _debye_series(nu, t, "w", sign_alternate=False, alpha_t_over=at)
-        log = nu * eta + 0.5 * (math.log(nu) - _LOG_2PI) + 0.5 * math.log(w) + math.log(s)
-        sign = 1
-    else:
-        s = _debye_series(nu, t, "w", sign_alternate=True, alpha_t_over=at)
-        log = -nu * eta + 0.5 * (_LOG_PI_OVER_2 + math.log(nu)) + 0.5 * math.log(w) + math.log(s)
-        sign = -1
-    if beta < 0:
-        sign = -sign
-    return SignedLog.from_log(sign, log + math.log(abs(beta)))
-
-
 def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> SignedLog:
     import mpmath as mp
 
@@ -230,6 +198,7 @@ def robin_combination(
 ) -> SignedLog:
     """alpha*B_nu(z) + beta*z*B'_nu(z) as a SignedLog, B in {I, K}.
 
+    Built at every order from a two-term identity with B_{nu+1} or B_{nu-1}.
     The sign of the result is exact.  Two-term forms losing more than six
     decimal digits to cancellation are recomputed at 50 significant digits.
     """
@@ -243,9 +212,6 @@ def robin_combination(
         sl = SignedLog.from_log(1 if alpha > 0 else -1,
                                 math.log(abs(alpha)) + _log_bessel(kind, nu, z))
         return sl
-
-    if nu >= _DEBYE_MIN_NU and abs(alpha / beta) <= 0.25 * nu:
-        return _robin_debye(alpha, beta, nu, z, kind)
 
     lb0 = _log_bessel(kind, nu, z)
     lbz = math.log(z)

@@ -226,7 +226,7 @@ def _compute_point(task) -> list[dict]:
                 res = free_energy(geom, bc, ch, temp, policy)
         except NonConvergenceError as exc:
             row(label, "exact", exc.partial if exc.partial is not None
-                else math.nan, status="failed")
+                else math.nan, exc.l_used, exc.p_used, status="failed")
         else:
             # A failed force keeps the converged energy; the row is failed.
             frc, status = None, "ok"

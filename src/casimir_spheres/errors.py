@@ -10,11 +10,17 @@ class PrecisionLossError(ArithmeticError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A truncated sum or quadrature hit its hard cap before reaching tolerance."""
+    """A truncated sum or quadrature hit its hard cap before reaching tolerance.
 
-    def __init__(self, message, partial=None):
+    ``partial`` is the value of the completed work, ``l_used`` the last l whose
+    term it holds and ``p_used`` the largest Matsubara index reached.
+    """
+
+    def __init__(self, message, partial=None, l_used=0, p_used=0):
         super().__init__(message)
         self.partial = partial
+        self.l_used = l_used
+        self.p_used = p_used
 
 
 class OutOfRegimeError(ValueError):

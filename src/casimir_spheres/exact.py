@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special as _sp
 from scipy.integrate import IntegrationWarning, quad
 
-from .bessel import robin_combination
+from .bessel import _DEBYE_MIN_NU, _uniform_series, robin_combination
 from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
@@ -72,7 +72,7 @@ class _Kahan:
 class _LTerm:
     """Everything needed to evaluate f_l at one angular number."""
 
-    __slots__ = ("nu", "r21", "ab1", "ab2", "pref", "homog", "alpha_log")
+    __slots__ = ("nu", "r21", "ab1", "ab2", "ratios", "pref", "homog", "alpha_log")
 
     def __init__(self, geometry: Geometry, bc_pair: BoundaryPair,
                  channel: Channel, l: int):
@@ -82,6 +82,7 @@ class _LTerm:
         a2c = bc_coefficients(channel, bc_pair.outer, geometry.dim)
         self.ab1 = (float(a1c[0]), float(a1c[1]))
         self.ab2 = (float(a2c[0]), float(a2c[1]))
+        self.ratios = tuple(None if c[1] == 0 else c[0] / c[1] for c in (a1c, a2c))
         self.homog = bc_pair.is_homogeneous
         self.alpha_log = geometry.alpha_log
         if self.homog:
@@ -94,6 +95,13 @@ class _LTerm:
     def m_signedlog(self, u: float) -> SignedLog:
         """M_l as a SignedLog; u = a1 * xi."""
         u2 = self.r21 * u
+        if self.nu >= _DEBYE_MIN_NU:
+            # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2): the
+            # sqrt(nu) and w prefactors cancel, and a mixed pair (one sphere with
+            # beta = 0) makes M negative.
+            log_m = (-self.decay_exponent(u) + _series_log_ratio(self.nu, u, self.ratios[0])
+                     - _series_log_ratio(self.nu, u2, self.ratios[1]))
+            return SignedLog.from_log(1 if self.homog else -1, log_m)
         a1, b1 = self.ab1
         a2, b2 = self.ab2
         num = robin_combination(a1, b1, self.nu, u, "I") \
@@ -125,6 +133,12 @@ class _LTerm:
         """g'(u) = 2 [sqrt(nu^2 + (r21 u)^2) - sqrt(nu^2 + u^2)] / u."""
         n = self.nu
         return 2.0 * (math.hypot(n, self.r21 * u) - math.hypot(n, u)) / u
+
+
+def _series_log_ratio(nu: float, z: float, ratio) -> float:
+    """X = ln[(1 + E + O)/(1 + E - O)]: one sphere's I-over-K series ratio."""
+    _, _, even, odd = _uniform_series(nu, z, ratio)
+    return math.log1p(even + odd) - math.log1p(even - odd)
 
 
 def _log_one_minus(m: SignedLog) -> float:
@@ -308,7 +322,8 @@ def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Ch
                 raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
         except NonConvergenceError as exc:
             raise NonConvergenceError(
-                str(exc), partial=sum(per_channel.values()) + acc.value) from None
+                str(exc), partial=sum(per_channel.values()) + acc.value,
+                l_used=l_used, p_used=max(p_used, exc.p_used)) from None
         per_channel[ch.value] = acc.value
         err_total += err
     return EnergyResult(value=sum(per_channel.values()), per_channel=per_channel,
@@ -321,7 +336,8 @@ def _certified(res: EnergyResult, policy: TruncationPolicy) -> EnergyResult:
     err = res.error_estimate + 8.0 * np.finfo(float).eps * abs(res.value)
     if err > policy.rel_tol * abs(res.value):
         raise NonConvergenceError(f"error estimate {err:.3e} exceeds rel_tol * |E| = "
-                                  f"{policy.rel_tol * abs(res.value):.3e}", partial=res.value)
+                                  f"{policy.rel_tol * abs(res.value):.3e}", partial=res.value,
+                                  l_used=res.l_used, p_used=res.p_used)
     return replace(res, error_estimate=err)
 
 
@@ -343,7 +359,7 @@ def _matsubara_block(ctx: _LTerm, a1T: float, rel_tol: float,
             break
         if p >= p_max:
             raise NonConvergenceError(
-                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={ctx.nu})")
+                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={ctx.nu})", p_used=p)
         p += 1
     return acc.value, tail, p
 

@@ -61,7 +61,7 @@ def _check_overlap() -> CheckResult:
     from scipy import special as sp
     worst = 0.0
     for nu in (60.0, 100.0, 300.0, 1000.0):
-        for zb in (0.1, 0.3, 1.0, 2.0, 10.0):
+        for zb in (0.1, 0.3, 1.0, 1.92, 2.0, 10.0):
             z = nu * zb
             if z * z <= 100.0 * (nu + 1.0):
                 direct_i = _log_i_series(nu, z)

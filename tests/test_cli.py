@@ -141,6 +141,18 @@ def test_nonconvergence_exit_2(capsys):
     assert any(r["status"] == "ok" for r in rows)  # pfa rows still emitted
 
 
+def test_failed_energy_row_reports_completed_counts(capsys):
+    code, out, _ = run_cli(capsys, ["--mode", "point", "--eps", "0.1",
+                                    "--dim", "3", "--temp", "0", "--bc", "pc,pc",
+                                    "--channel", "total", "--rel-tol", "1e-6",
+                                    "--l-max", "3"])
+    assert code == 2
+    exact = parse_output(out)[0]
+    assert (exact["method"], exact["status"]) == ("exact", "failed")
+    assert exact["energy"] == pytest.approx(-12.39, abs=1e-2)  # l = 1..3 summed
+    assert (exact["l_used"], exact["p_used"]) == ("3", "0")
+
+
 def test_convergence_mode(capsys):
     code, out, _ = run_cli(capsys, ["--mode", "convergence", "--eps", "0.2",
                                     "--dim", "3", "--temp", "0.5",

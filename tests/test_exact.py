@@ -275,6 +275,18 @@ def test_partial_is_energy_of_completed_l_terms():
     assert partials[0] == pytest.approx(-0.8617, abs=1e-4)
 
 
+def test_failure_carries_completed_counts():
+    # l_used is the last l in partial; p_used the largest p reached, the cap included
+    g = Geometry.from_eps(0.5, 3)
+    with pytest.raises(NonConvergenceError) as info:
+        free_energy(g, PCPC, Channel.TE, 0.1, TruncationPolicy(p_max_hard=45))
+    assert (info.value.l_used, info.value.p_used) == (8, 45)
+    with pytest.raises(NonConvergenceError) as info:
+        zero_T_energy(Geometry.from_eps(0.1, 3), PCPC, None,
+                      TruncationPolicy(rel_tol=1e-6, l_max_hard=3))
+    assert (info.value.l_used, info.value.p_used) == (3, 0)
+
+
 def test_partial_keeps_finished_channels():
     # at l_max_hard = 23 the TE sum of this ip/pc pair stops in time, TM does not
     g = Geometry.from_eps(0.5, 3)

@@ -71,6 +71,12 @@ def calls():
            (g5, pcpc, Channel.TE, 0.1, TruncationPolicy(l_max_hard=8)))
     yield ("free p_max_hard=45 total", free_energy,
            (g5, pcpc, None, 0.1, TruncationPolicy(p_max_hard=45)))
+    # eps = 0.1 sums run past l = 50, into the uniform (Debye) branch.
+    for bc, ch in itertools.product(("pc,pc", "pc,ip", "ip,pc"), (None, Channel.TE)):
+        yield (f"zeroT debye D=3 eps=0.1 bc={bc} ch={ch and ch.value}", zero_T_energy,
+               (g3, BoundaryPair.from_string(bc), ch, fast))
+    yield ("free debye T=10 D=5 eps=0.1 bc=pc,ip", free_energy,
+           (Geometry.from_eps(0.1, 5), BoundaryPair.from_string("pc,ip"), None, 10.0, fast))
 
 
 def main() -> None:

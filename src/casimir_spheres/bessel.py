@@ -22,14 +22,16 @@ The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
 for nu <= 1e4 and z/nu in [1e-3, 1e3].
 
-Robin combinations alpha*B + beta*z*B' are assembled, at every order, from
-the exact derivative identities
+Robin combinations alpha*B + beta*z*B' are B_nu times one float factor,
+from the derivative identities (DLMF 10.29) I'_nu = I_{nu+1} + (nu/z) I_nu
+and K'_nu = -K_{nu-1} - (nu/z) K_nu (K_{-a} = K_a):
 
-    I'_nu = I_{nu+1} + (nu/z) I_nu,          K'_nu = -K_{nu+1} + (nu/z) K_nu,
-    I'_nu = I_{nu-1} - (nu/z) I_nu,          K'_nu = -K_{nu-1} - (nu/z) K_nu,
+    alpha I + beta z I' = I_nu [c + t],  c = alpha + beta nu,  t = beta z I_{nu+1}/I_nu,
+    alpha K + beta z K' = K_nu [c + t],  c = alpha - beta nu,  t = -beta z K_{|nu-1|}/K_nu.
 
-picking whichever two-term form adds same-sign quantities; a remaining
-cancellation beyond six decimal digits triggers an arbitrary-precision
+For -nu < alpha/beta < nu, c and t have the same sign; every boundary
+condition of the library has |alpha/beta| <= (D-2)/2 < nu.  A factor losing
+more than six decimal digits to cancellation triggers an arbitrary-precision
 recomputation.
 """
 
@@ -42,7 +44,7 @@ from typing import Literal
 from scipy import special as _sp
 
 from .debye import MAX_ORDER, debye_u, debye_v
-from .signedlog import SignedLog, signed_log_sum
+from .signedlog import SignedLog
 
 __all__ = ["log_bessel_i", "log_bessel_k", "robin_combination"]
 
@@ -198,9 +200,10 @@ def robin_combination(
 ) -> SignedLog:
     """alpha*B_nu(z) + beta*z*B'_nu(z) as a SignedLog, B in {I, K}.
 
-    Built at every order from a two-term identity with B_{nu+1} or B_{nu-1}.
-    The sign of the result is exact.  Two-term forms losing more than six
-    decimal digits to cancellation are recomputed at 50 significant digits.
+    B_nu times the factor s = c + t of the module docstring, from one
+    derivative identity per kind.  The sign of the result is exact.  A factor
+    losing more than six decimal digits to cancellation is recomputed at 50
+    significant digits.
     """
     if kind not in ("I", "K"):
         raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
@@ -208,39 +211,14 @@ def robin_combination(
         raise ValueError("(alpha, beta) must not both vanish")
     _check_args(nu, z)
 
-    if beta == 0.0:
-        sl = SignedLog.from_log(1 if alpha > 0 else -1,
-                                math.log(abs(alpha)) + _log_bessel(kind, nu, z))
-        return sl
-
     lb0 = _log_bessel(kind, nu, z)
-    lbz = math.log(z)
-    if kind == "I":
-        # (alpha + beta*nu) I_nu + beta*z*I_{nu+1}   or
-        # (alpha - beta*nu) I_nu + beta*z*I_{nu-1}   (nu >= 1 only)
-        c_up = alpha + beta * nu
-        if c_up * beta >= 0.0 or nu < 1.0:
-            ta = SignedLog.from_value(c_up) * SignedLog.from_log(1, lb0)
-            tb = SignedLog.from_log(1 if beta > 0 else -1,
-                                    math.log(abs(beta)) + lbz + log_bessel_i(nu + 1.0, z))
-        else:
-            ta = SignedLog.from_value(alpha - beta * nu) * SignedLog.from_log(1, lb0)
-            tb = SignedLog.from_log(1 if beta > 0 else -1,
-                                    math.log(abs(beta)) + lbz + log_bessel_i(nu - 1.0, z))
+    if beta == 0.0:
+        c, t = alpha, 0.0
+    elif kind == "I":
+        c, t = alpha + beta * nu, beta * z * math.exp(log_bessel_i(nu + 1.0, z) - lb0)
     else:
-        # (alpha + beta*nu) K_nu - beta*z*K_{nu+1}   or
-        # (alpha - beta*nu) K_nu - beta*z*K_{nu-1}   (K_{-a} = K_a)
-        c_up = alpha + beta * nu
-        c_dn = alpha - beta * nu
-        if c_dn * beta <= 0.0:
-            ta = SignedLog.from_value(c_dn) * SignedLog.from_log(1, lb0)
-            tb = SignedLog.from_log(-1 if beta > 0 else 1,
-                                    math.log(abs(beta)) + lbz + log_bessel_k(abs(nu - 1.0), z))
-        else:
-            ta = SignedLog.from_value(c_up) * SignedLog.from_log(1, lb0)
-            tb = SignedLog.from_log(-1 if beta > 0 else 1,
-                                    math.log(abs(beta)) + lbz + log_bessel_k(nu + 1.0, z))
-    result, lost = signed_log_sum(ta, tb)
-    if lost > _CANCEL_DIGITS:
+        c, t = alpha - beta * nu, -beta * z * math.exp(log_bessel_k(abs(nu - 1.0), z) - lb0)
+    s = c + t
+    if abs(s) * 10.0 ** _CANCEL_DIGITS < max(abs(c), abs(t)):
         return _robin_mpmath(alpha, beta, nu, z, kind)
-    return result
+    return SignedLog(1 if s > 0 else -1, lb0 + math.log(abs(s)))

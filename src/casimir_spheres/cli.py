@@ -299,7 +299,7 @@ def convergence_report(cfg: RunConfig) -> list[dict]:
                 l_used, p_used = r.l_used, r.p_used
             except NonConvergenceError as exc:
                 energy, err, status = exc.partial, None, "failed"
-                l_used, p_used = lcap, pcap
+                l_used, p_used = exc.l_used, exc.p_used
             rows.append(_result_row(dim, geom, eps, temp, bc, "total", "exact",
                                     energy, None, l_used, p_used, err, status))
     return rows

@@ -92,8 +92,8 @@ class _LTerm:
             self.pref = float((a1c[0] + a1c[1] * n) * (a2c[0] - a2c[1] * n)
                               / ((a1c[0] - a1c[1] * n) * (a2c[0] + a2c[1] * n)))
 
-    def m_signedlog(self, u: float) -> SignedLog:
-        """M_l as a SignedLog; u = a1 * xi."""
+    def log_m(self, u: float) -> tuple[int, float]:
+        """(sign, ln|M_l|) at u = a1 * xi."""
         u2 = self.r21 * u
         if self.nu >= _DEBYE_MIN_NU:
             # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2): the
@@ -101,14 +101,15 @@ class _LTerm:
             # beta = 0) makes M negative.
             log_m = (-self.decay_exponent(u) + _series_log_ratio(self.nu, u, self.ratios[0])
                      - _series_log_ratio(self.nu, u2, self.ratios[1]))
-            return SignedLog.from_log(1 if self.homog else -1, log_m)
+            return (1 if self.homog else -1), log_m
         a1, b1 = self.ab1
         a2, b2 = self.ab2
-        num = robin_combination(a1, b1, self.nu, u, "I") \
-            * robin_combination(a2, b2, self.nu, u2, "K")
-        den = robin_combination(a2, b2, self.nu, u2, "I") \
-            * robin_combination(a1, b1, self.nu, u, "K")
-        return num / den
+        i1 = robin_combination(a1, b1, self.nu, u, "I")
+        k2 = robin_combination(a2, b2, self.nu, u2, "K")
+        i2 = robin_combination(a2, b2, self.nu, u2, "I")
+        k1 = robin_combination(a1, b1, self.nu, u, "K")
+        return (i1.sign * k2.sign * i2.sign * k1.sign,
+                (i1.log + k2.log) - (i2.log + k1.log))
 
     def f0(self) -> float:
         s = -2.0 * self.nu * self.alpha_log
@@ -120,7 +121,7 @@ class _LTerm:
         """f_l at u = a1*xi > 0; the u -> 0 limit is f0."""
         if u <= 0.0:
             return self.f0()
-        return _log_one_minus(self.m_signedlog(u))
+        return _log_one_minus(*self.log_m(u))
 
     def decay_exponent(self, u: float) -> float:
         """g(u) = 2 nu [eta(r21 u/nu) - eta(u/nu)]; |M| ~ exp(-g)."""
@@ -141,25 +142,25 @@ def _series_log_ratio(nu: float, z: float, ratio) -> float:
     return math.log1p(even + odd) - math.log1p(even - odd)
 
 
-def _log_one_minus(m: SignedLog) -> float:
-    """ln(1 - M) from the SignedLog of M, stable near M = 1 and for M < -1."""
-    if m.sign == 0:
+def _log_one_minus(sign: int, log: float) -> float:
+    """ln(1 - M) from M = sign * exp(log), stable near M = 1 and for M < -1."""
+    if sign == 0:
         return 0.0
-    if m.sign < 0:
+    if sign < 0:
         # 1 + |M|: guard exp overflow for large positive logs.
-        if m.log > 35.0:
-            return m.log + math.log1p(math.exp(-m.log))
-        return math.log1p(math.exp(m.log))
-    if m.log >= 0.0:
+        if log > 35.0:
+            return log + math.log1p(math.exp(-log))
+        return math.log1p(math.exp(log))
+    if log >= 0.0:
         raise PrecisionLossError(
-            f"reflection coefficient reached 1 within float resolution (log={m.log})")
-    if m.log > -0.693:
-        one_minus = -math.expm1(m.log)
+            f"reflection coefficient reached 1 within float resolution (log={log})")
+    if log > -0.693:
+        one_minus = -math.expm1(log)
         if one_minus < 1e-12:
             raise PrecisionLossError(
                 f"1 - M underflowed the supported relative tolerance ({one_minus})")
         return math.log(one_minus)
-    return math.log1p(-math.exp(m.log))
+    return math.log1p(-math.exp(log))
 
 
 def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
@@ -168,7 +169,7 @@ def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     if not xi > 0.0:
         raise ValueError(f"xi must be positive, got {xi}")
     ctx = _LTerm(geometry, bc_pair, channel, l)
-    return ctx.m_signedlog(geometry.a1 * xi).value()
+    return SignedLog.from_log(*ctx.log_m(geometry.a1 * xi)).value()
 
 
 def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,
@@ -297,12 +298,15 @@ def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Ch
 
     ``block(l, ctx, d_l, total)`` gives one l's (term, error parts, p_used);
     ``stop()`` makes a channel's ``rule(l, nu, term, total, err)``, which
-    returns the l-tail bound that ends the sum, or None.  On failure
-    ``partial`` is the energy of every completed l-term of every channel.
+    returns the l-tail bound that ends the sum, or None.  Every channel runs
+    to its own stop or cap; if any fails, one NonConvergenceError carries the
+    first failure's message and, as ``partial``, the energy of every
+    completed l-term of every channel.
     """
     per_channel: dict[str, float] = {}
     l_used = p_used = 0
     err_total = 0.0
+    failure = None
     for ch in _channel_pairs(channel):
         dpoly = degeneracy_polynomial(ch, geometry.dim)
         rule, acc, err = stop(), _Kahan(), 0.0
@@ -321,11 +325,13 @@ def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Ch
             else:
                 raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
         except NonConvergenceError as exc:
-            raise NonConvergenceError(
-                str(exc), partial=sum(per_channel.values()) + acc.value,
-                l_used=l_used, p_used=max(p_used, exc.p_used)) from None
+            failure = failure or exc
+            p_used = max(p_used, exc.p_used)
         per_channel[ch.value] = acc.value
         err_total += err
+    if failure is not None:
+        raise NonConvergenceError(str(failure), partial=sum(per_channel.values()),
+                                  l_used=l_used, p_used=p_used)
     return EnergyResult(value=sum(per_channel.values()), per_channel=per_channel,
                         l_used=l_used, p_used=p_used, error_estimate=err_total,
                         temperature=temperature)

@@ -149,7 +149,7 @@ def test_failed_energy_row_reports_completed_counts(capsys):
     assert code == 2
     exact = parse_output(out)[0]
     assert (exact["method"], exact["status"]) == ("exact", "failed")
-    assert exact["energy"] == pytest.approx(-12.39, abs=1e-2)  # l = 1..3 summed
+    assert exact["energy"] == pytest.approx(-24.96, abs=1e-2)  # TE and TM, l = 1..3
     assert (exact["l_used"], exact["p_used"]) == ("3", "0")
 
 
@@ -167,6 +167,12 @@ def test_convergence_mode(capsys):
         5 * max(ok[-1]["error_estimate"], 1e-14 * abs(ok[-1]["energy"]))
     caps = [int(r["l_used"]) for r in rows]
     assert caps == sorted(caps)
+    # failed rows report the counts they reached and every channel's finished terms
+    failed = [r for r in rows if r["status"] == "failed"]
+    assert failed
+    assert all(int(r["p_used"]) <= min(int(o["p_used"]) for o in ok) for r in failed)
+    gaps = [abs(r["energy"] - ok[-1]["energy"]) for r in failed]
+    assert gaps == sorted(gaps, reverse=True) and len(set(gaps)) == len(gaps)
 
 
 def test_compare_mode_first_correction_trend(capsys):

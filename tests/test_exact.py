@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from casimir_spheres import bessel
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              Geometry, NonConvergenceError, PrecisionLossError,
                              TruncationPolicy, classical_term, f_l, force,
@@ -101,6 +102,19 @@ def test_f_precision_loss_for_touching_spheres():
     g = Geometry(1.0, 1.0 + 5e-14, 3)
     with pytest.raises(PrecisionLossError):
         f_l(1, g, PCPC, Channel.TE, 1.0)
+
+
+@pytest.mark.parametrize("dim", [3, 16])
+def test_library_robin_factors_need_no_mpmath(dim, monkeypatch):
+    # |alpha/beta| <= (D-2)/2 < nu, so the Robin factor c + t adds same-sign terms
+    calls, original = [], bessel._robin_mpmath
+    monkeypatch.setattr(bessel, "_robin_mpmath",
+                        lambda *args: calls.append(args) or original(*args))
+    g = Geometry.from_eps(0.6, dim)
+    for pair in (PCPC, PCIP, IPPC, IPIP):
+        zero_T_energy(g, pair, None, FAST)
+        free_energy(g, pair, None, 0.5, FAST)
+    assert calls == []
 
 
 # --- classical term ----------------------------------------------------------
@@ -297,6 +311,17 @@ def test_partial_keeps_finished_channels():
     with pytest.raises(NonConvergenceError) as total:
         free_energy(g, IPPC, None, 0.5, cap)
     assert total.value.partial == te.value + tm.value.partial
+    # at l_max_hard = 5 both channels fail; each still runs to its own cap
+    cap = TruncationPolicy(rel_tol=1e-6, l_max_hard=5)
+    with pytest.raises(NonConvergenceError) as te:
+        free_energy(g, IPPC, Channel.TE, 0.5, cap)
+    with pytest.raises(NonConvergenceError) as tm:
+        free_energy(g, IPPC, Channel.TM, 0.5, cap)
+    with pytest.raises(NonConvergenceError) as total:
+        free_energy(g, IPPC, None, 0.5, cap)
+    assert total.value.partial == te.value.partial + tm.value.partial
+    assert total.value.l_used == 5
+    assert total.value.p_used == max(te.value.p_used, tm.value.p_used)
 
 
 # --- thermal correction and force ---------------------------------------------

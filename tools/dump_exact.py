@@ -77,6 +77,13 @@ def calls():
                (g3, BoundaryPair.from_string(bc), ch, fast))
     yield ("free debye T=10 D=5 eps=0.1 bc=pc,ip", free_energy,
            (Geometry.from_eps(0.1, 5), BoundaryPair.from_string("pc,ip"), None, 10.0, fast))
+    # At D = 16 the Robin ratios 7 and -6 come closest to nu (nu >= 8).
+    g16 = Geometry.from_eps(0.6, 16)
+    for bc in ("pc,ip", "ip,pc"):
+        pair = BoundaryPair.from_string(bc)
+        yield f"zeroT D=16 eps=0.6 bc={bc}", zero_T_energy, (g16, pair, None, fast)
+        yield (f"free T={T_FREE} D=16 eps=0.6 bc={bc}", free_energy,
+               (g16, pair, None, T_FREE, fast))
 
 
 def main() -> None:

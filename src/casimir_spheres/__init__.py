@@ -7,9 +7,8 @@ with the proximity-force approximation and the small-gap asymptotic series
 used to cross-validate it.
 """
 
-from .asymptotics import (DEFAULT_MIXED_LOG_READING, ExpansionSeries,
-                          ExpansionTerm, assemble_zero_T_expansion,
-                          exact_thermal_force_leading,
+from .asymptotics import (ExpansionSeries, ExpansionTerm,
+                          assemble_zero_T_expansion, exact_thermal_force_leading,
                           expansion_coefficient_functions, high_T_expansion,
                           parallel_plate_density, pfa_energy, pfa_thermal_force,
                           sphere_area, thermal_leading, zero_T_expansion)
@@ -33,7 +32,6 @@ __all__ = [
     "EnergyResult", "ExpansionSeries", "ExpansionTerm", "Geometry",
     "NonConvergenceError", "OutOfRegimeError", "PrecisionLossError",
     "RationalPolynomial", "SignedLog", "TruncationPolicy",
-    "DEFAULT_MIXED_LOG_READING",
     "assemble_zero_T_expansion", "bc_coefficients", "classical_term",
     "debye_d", "debye_eta", "debye_eta_prime", "debye_m", "debye_t",
     "debye_u", "debye_v", "degeneracy", "degeneracy_polynomial",

@@ -45,14 +45,9 @@ __all__ = [
     "thermal_leading",
     "pfa_thermal_force",
     "exact_thermal_force_leading",
-    "DEFAULT_MIXED_LOG_READING",
 ]
 
 Regime = Literal["zeroT", "highT"]
-# Two readings of the D=3 mixed classical log term: a bare log(eps) as printed,
-# or eps^2 log(eps) as the Mellin pole structure suggests.  The selftest fit
-# selects "eps2_ln"; see fit_mixed_log_reading().
-DEFAULT_MIXED_LOG_READING = "eps2_ln"
 
 _PC = BoundaryCondition.PERFECTLY_CONDUCTING
 _IP = BoundaryCondition.INFINITELY_PERMEABLE
@@ -185,12 +180,11 @@ def _pow2_zeta_zeroT(dim: int) -> float:
     return (2.0 ** dim - 16.0) * riemann_zeta(dim - 3)
 
 
-def _highT_channel_terms(dim: int, bc_pair: BoundaryPair, channel: Channel,
-                         reading: str) -> list[ExpansionTerm]:
+def _highT_channel_terms(dim: int, bc_pair: BoundaryPair,
+                         channel: Channel) -> list[ExpansionTerm]:
     te = channel is Channel.TE
     if dim == 3:
         z3 = riemann_zeta(3)
-        log_power = 2 if reading == "eps2_ln" else 0
         if bc_pair.is_homogeneous:
             return [ExpansionTerm(0, False, 1.0), ExpansionTerm(1, False, 1.0),
                     ExpansionTerm(2, True, 11.0 / (6.0 * z3))]
@@ -202,9 +196,11 @@ def _highT_channel_terms(dim: int, bc_pair: BoundaryPair, channel: Channel,
         # the total.  Direct summation pins the slope to 1 - 1.53768 for the
         # TE inner-conducting case.
         sign = -1.0 if (te == pc_inner) else 1.0
+        # The paper prints a bare log(eps), but the term is eps^2 log(eps);
+        # the selftest log-term fit tells the two readings apart.
         return [ExpansionTerm(0, False, 1.0),
                 ExpansionTerm(1, False, 1.0 + sign * (8.0 / 3.0) * math.log(2.0) / z3),
-                ExpansionTerm(log_power, True, -2.0 / (3.0 * z3))]
+                ExpansionTerm(2, True, -2.0 / (3.0 * z3))]
     z1 = _zeta_ratio_highT(dim)
     e2a = (3.0 * dim - 8.0) * (dim - 1.0) / 24.0
     out = [ExpansionTerm(0, False, 1.0), ExpansionTerm(1, False, (dim - 1.0) / 2.0)]
@@ -316,19 +312,15 @@ def _check_dim_supported(dim: int) -> None:
 
 
 def high_T_expansion(dim: int, bc_pair: BoundaryPair,
-                     channel: Optional[Channel] = None,
-                     mixed_log_reading: str = DEFAULT_MIXED_LOG_READING
-                     ) -> ExpansionSeries:
+                     channel: Optional[Channel] = None) -> ExpansionSeries:
     """Small-gap series of the classical term, per unit temperature."""
     _check_dim_supported(dim)
-    if mixed_log_reading not in ("eps2_ln", "ln"):
-        raise ValueError(f"unknown mixed_log_reading {mixed_log_reading!r}")
     if channel is None:
         terms = _merge_total(dim,
-                             _highT_channel_terms(dim, bc_pair, Channel.TE, mixed_log_reading),
-                             _highT_channel_terms(dim, bc_pair, Channel.TM, mixed_log_reading))
+                             _highT_channel_terms(dim, bc_pair, Channel.TE),
+                             _highT_channel_terms(dim, bc_pair, Channel.TM))
     else:
-        terms = _highT_channel_terms(dim, bc_pair, channel, mixed_log_reading)
+        terms = _highT_channel_terms(dim, bc_pair, channel)
     return ExpansionSeries(
         prefactor=_pfa_coefficient(dim, bc_pair, "highT", channel),
         leading_power=-(dim - 1), terms=tuple(terms), regime="highT",

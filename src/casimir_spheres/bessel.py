@@ -43,7 +43,7 @@ from typing import Literal
 
 from scipy import special as _sp
 
-from .debye import MAX_ORDER, debye_u, debye_v
+from .debye import MAX_ORDER, debye_u, debye_v, eta_from_w
 from .signedlog import SignedLog
 
 __all__ = ["log_bessel_i", "log_bessel_k", "robin_combination"]
@@ -119,7 +119,7 @@ def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, floa
     zb = z / nu
     w = math.hypot(1.0, zb)
     t = 1.0 / w
-    eta = w + math.log(zb / (1.0 + w))
+    eta = eta_from_w(zb, w)
     even = odd = 0.0
     fac = 1.0
     for k, a in enumerate(_series_terms(ratio), 1):

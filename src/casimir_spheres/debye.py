@@ -9,14 +9,14 @@ and the coefficient polynomials u_k(t), v_k(t) obey the classical recursions
     u_0 = 1,  u_k = t^2(1-t^2)/2 * u_{k-1}' + 1/8 * int_0^t (1-5 s^2) u_{k-1}(s) ds,
     v_0 = 1,  v_k = u_k - t^2(1-t^2) u_{k-1}' - t(1-t^2)/2 * u_{k-1}.
 
-The log-derived families D_k and M_{k,alpha} are the formal-log coefficients
+The Bessel module sums u_k and v_k + alpha t u_{k-1} directly through
+MAX_ORDER.  The small-gap series need only the order-one terms of the logs of
+those sums, the closed forms
 
-    sum_k D_k / nu^k      = log(1 + sum_k u_k / nu^k),
-    sum_k M_{k,alpha}/nu^k = log(1 + sum_k (v_k + alpha t u_{k-1}) / nu^k),
+    D_1 = u_1,   M_{1,alpha} = v_1 + alpha t,
 
-and appear directly in ratios of Robin combinations of I and K at equal order.
-All recursion steps run in exact rational arithmetic; floats only enter when a
-polynomial is evaluated.
+for a Dirichlet and a Robin sphere.  All recursion steps run in exact
+rational arithmetic; floats only enter when a polynomial is evaluated.
 """
 
 from __future__ import annotations
@@ -166,37 +166,6 @@ def _v(k: int) -> RationalPolynomial:
     return _u(k) - _T2_M_T4 * prev.derivative() - _T_M_T3_HALF * prev
 
 
-@lru_cache(maxsize=None)
-def _log_series(kind: str, alpha: Fraction, order: int) -> tuple:
-    """Coefficients of log(1 + sum_k a_k x^k) through x^order.
-
-    kind "u": a_k = u_k;  kind "w": a_k = v_k + alpha * t * u_{k-1}.
-    """
-    if kind == "u":
-        a = [_u(k) for k in range(order + 1)]
-    else:
-        a = [_ONE] + [
-            _v(k) + _u(k - 1).shift_powers(1).scale(alpha) for k in range(1, order + 1)
-        ]
-    # log(1+S) = S - S^2/2 + S^3/3 - ..., S = sum_{k>=1} a_k x^k, truncated.
-    zero = RationalPolynomial([])
-    out = [zero] * (order + 1)
-    power = [zero] + a[1:]  # S^1
-    for m in range(1, order + 1):
-        sign = Fraction((-1) ** (m + 1), m)
-        for k in range(m, order + 1):
-            out[k] = out[k] + power[k].scale(sign)
-        if m == order:
-            break
-        nxt = [zero] * (order + 1)
-        for i in range(m, order + 1):
-            if power[i].coefficients:
-                for j in range(1, order + 1 - i):
-                    nxt[i + j] = nxt[i + j] + power[i] * a[j]
-        power = nxt
-    return tuple(out)
-
-
 def debye_u(k: int) -> RationalPolynomial:
     """k-th coefficient polynomial of the I-type uniform expansion."""
     _check_order(k)
@@ -209,28 +178,33 @@ def debye_v(k: int) -> RationalPolynomial:
     return _v(k)
 
 
+def _check_log_order(k: int) -> None:
+    if not isinstance(k, int) or k not in (0, 1):
+        raise ValueError(f"log-series order must be 0 or 1, got {k!r}")
+
+
 def debye_d(k: int) -> RationalPolynomial:
-    """k-th formal-log coefficient of the u-series (Dirichlet combination)."""
-    _check_order(k)
-    if k == 0:
-        return RationalPolynomial([])
-    return _log_series("u", Fraction(0), k)[k]
+    """Order-k term of log(1 + sum_k u_k/nu^k) (Dirichlet sphere), k <= 1."""
+    _check_log_order(k)
+    return _u(1) if k else RationalPolynomial([])
 
 
 def debye_m(k: int, alpha) -> RationalPolynomial:
-    """k-th formal-log coefficient of the Robin combination with parameter alpha."""
-    _check_order(k)
-    if k == 0:
-        return RationalPolynomial([])
-    return _log_series("w", Fraction(alpha), k)[k]
+    """Order-k term of the log of the Robin series with ratio alpha, k <= 1."""
+    _check_log_order(k)
+    return _v(1) + RationalPolynomial([0, alpha]) if k else RationalPolynomial([])
+
+
+def eta_from_w(z: float, w: float) -> float:
+    """eta(z) given w = sqrt(1+z^2)."""
+    return w + math.log(z / (1.0 + w))
 
 
 def debye_eta(z: float) -> float:
     """eta(z) = sqrt(1+z^2) + log(z/(1+sqrt(1+z^2))), strictly increasing."""
     if not z > 0.0:
         raise ValueError(f"eta requires z > 0, got {z}")
-    w = math.hypot(1.0, z)
-    return w + math.log(z / (1.0 + w))
+    return eta_from_w(z, math.hypot(1.0, z))
 
 def debye_t(z: float) -> float:
     """t(z) = 1/sqrt(1+z^2), in (0, 1)."""

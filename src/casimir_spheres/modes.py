@@ -23,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from .debye import RationalPolynomial
+
 __all__ = [
     "BoundaryCondition",
     "BoundaryPair",
@@ -139,22 +141,15 @@ def degeneracy(channel: Channel, l: int, dim: int) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class DegeneracyPolynomial:
+class DegeneracyPolynomial(RationalPolynomial):
     """Exact expansion of the degeneracy in powers of nu = l + (D-2)/2."""
 
-    dim: int
-    channel: Channel
-    coefficients: tuple[Fraction, ...]  # index j multiplies nu**j
+    __slots__ = ("dim", "channel")
 
-    def coefficient(self, j: int) -> Fraction:
-        if 0 <= j < len(self.coefficients):
-            return self.coefficients[j]
-        return Fraction(0)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
+    def __init__(self, poly: RationalPolynomial, dim: int, channel: Channel):
+        super().__init__(poly.coefficients)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "channel", channel)
 
     def evaluate_exact(self, l: int) -> Fraction:
         x = nu_exact(l, self.dim)
@@ -163,52 +158,29 @@ class DegeneracyPolynomial:
             acc = acc * x + c
         return acc
 
-    def __call__(self, nu_value):
-        """Float Horner evaluation; accepts scalars or numpy arrays."""
-        acc = nu_value * 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * nu_value + float(c)
-        return acc
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_in_l(channel: Channel, dim: int) -> list[Fraction]:
-    """The degeneracy as an exact polynomial in l (factorials cancelled)."""
-    if channel is Channel.TM:
-        p = [Fraction(dim - 2), Fraction(2)]  # 2l + D - 2
-        for i in range(1, dim - 2):
-            p = _poly_mul(p, [Fraction(i), Fraction(1)])
-        return [c / math.factorial(dim - 2) for c in p]
-    if dim == 3:
-        return [Fraction(1), Fraction(2)]  # 2l + 1
-    if dim == 4:
-        return [Fraction(0), Fraction(4), Fraction(2)]  # 2l(l+2)
-    p = _poly_mul([Fraction(0), Fraction(1)], [Fraction(dim - 2), Fraction(1)])
-    p = _poly_mul(p, [Fraction(dim - 2), Fraction(2)])
-    for i in range(2, dim - 3):
-        p = _poly_mul(p, [Fraction(i), Fraction(1)])
-    return [c / math.factorial(dim - 3) for c in p]
-
 
 @lru_cache(maxsize=None)
 def degeneracy_polynomial(channel: Channel, dim: int) -> DegeneracyPolynomial:
-    """Exact coefficients of the degeneracy in powers of nu."""
+    """Exact coefficients of the degeneracy in powers of nu (factorials cancelled)."""
     _check_dim(dim)
-    poly_l = _poly_in_l(channel, dim)
-    # Substitute l = nu - (D-2)/2 by binomial expansion, exactly.
-    shift = -Fraction(dim - 2, 2)
-    out = [Fraction(0)] * len(poly_l)
-    for n, c in enumerate(poly_l):
-        if not c:
-            continue
-        for j in range(n + 1):
-            out[j] += c * math.comb(n, j) * shift ** (n - j)
-    return DegeneracyPolynomial(dim=dim, channel=channel, coefficients=tuple(out))
+    s = Fraction(dim - 2, 2)
+
+    def l_plus(i):  # l + i = nu + i - (D-2)/2
+        return RationalPolynomial([i - s, 1])
+
+    two_nu = RationalPolynomial([0, 2])  # 2l + D - 2
+    if channel is Channel.TM:
+        p = two_nu
+        for i in range(1, dim - 2):
+            p = p * l_plus(i)
+        p = p.scale(Fraction(1, math.factorial(dim - 2)))
+    elif dim == 3:
+        p = two_nu  # 2l + 1
+    elif dim == 4:
+        p = (l_plus(0) * l_plus(2)).scale(2)  # 2l(l+2)
+    else:
+        p = l_plus(0) * l_plus(dim - 2) * two_nu
+        for i in range(2, dim - 3):
+            p = p * l_plus(i)
+        p = p.scale(Fraction(1, math.factorial(dim - 3)))
+    return DegeneracyPolynomial(p, dim, channel)

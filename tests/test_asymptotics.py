@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
-                             Geometry, OutOfRegimeError,
-                             assemble_zero_T_expansion,
+                             Geometry, OutOfRegimeError, TruncationPolicy,
+                             assemble_zero_T_expansion, classical_term,
                              exact_thermal_force_leading,
                              expansion_coefficient_functions, high_T_expansion,
                              parallel_plate_density, pfa_energy,
@@ -163,10 +164,31 @@ def test_d3_highT_series():
     assert te.coefficient(2, log_eps=True) == pytest.approx(-2 / (3 * z3), rel=1e-13)
     tot = high_T_expansion(3, PCIP, None)
     assert tot.coefficient(1) == pytest.approx(1.0, rel=1e-13)
-    # the paper-literal reading keeps log eps at power zero
-    alt = high_T_expansion(3, PCIP, Channel.TM, mixed_log_reading="ln")
-    assert alt.coefficient(0, log_eps=True) == pytest.approx(-2 / (3 * z3), rel=1e-13)
-    assert alt.coefficient(2, log_eps=True) == 0.0
+    assert high_T_expansion(3, PCIP, Channel.TM).coefficient(0, log_eps=True) == 0.0
+
+
+def test_highT_series_residual_order():
+    # What the three-term series leaves, divided by the next order eps^k, must
+    # settle to c0 + c1 ln eps: a wrong eps^2 coefficient would grow like 1/eps.
+    # At D = 3 the third term is eps^2 ln eps, so k = 2 and c1 must vanish.
+    eps_grid = (1e-2, 3e-3, 1e-3, 3e-4)
+    policy = TruncationPolicy(rel_tol=1e-13, l_max_hard=10**6)
+    basis = np.column_stack([np.ones(len(eps_grid)), np.log(eps_grid)])
+    for dim in (3, 4, 5):
+        k = 2 if dim == 3 else 3
+        for bc in ALL:
+            results = [classical_term(Geometry.from_eps(eps, dim), bc, None, policy)
+                       for eps in eps_grid]
+            for ch in (None, Channel.TE, Channel.TM):
+                ser = high_T_expansion(dim, bc, ch)
+                r = np.array([
+                    ((res.value if ch is None else res.per_channel[ch.value])
+                     / ser.pfa_value(eps) - ser.relative_value(eps)) / eps ** k
+                    for eps, res in zip(eps_grid, results)])
+                coef, *_ = np.linalg.lstsq(basis, r, rcond=None)
+                assert np.max(np.abs(basis @ coef - r)) <= 0.1, (dim, str(bc), ch)
+                if dim == 3:
+                    assert abs(coef[1]) <= 0.01, (dim, str(bc), ch)
 
 
 def test_d4_highT_total_value():

@@ -47,16 +47,15 @@ def test_m1_explicit():
         assert m1 == RationalPolynomial([0, alpha - F(3, 8), 0, F(7, 24)])
 
 
-def test_d2_is_formal_log_order_two():
-    u1, u2 = debye_u(1), debye_u(2)
-    expected = u2 - u1 * u1 * F(1, 2)
-    assert debye_d(2) == expected
-
-
-def test_d3_formal_log_order_three():
-    u1, u2, u3 = debye_u(1), debye_u(2), debye_u(3)
-    expected = u3 - u1 * u2 + u1 * u1 * u1 * F(1, 3)
-    assert debye_d(3) == expected
+def test_log_polynomials_stop_at_order_one():
+    # only the order-one closed forms are built; order 0 is the empty polynomial
+    assert debye_d(0) == RationalPolynomial([])
+    assert debye_m(0, F(1, 2)) == RationalPolynomial([])
+    for k in (2, 3, -1):
+        with pytest.raises(ValueError):
+            debye_d(k)
+        with pytest.raises(ValueError):
+            debye_m(k, F(1, 2))
 
 
 def test_max_order_gate():

@@ -2,8 +2,13 @@
 
 Each line is one call: its arguments, then either the full result (value,
 per-channel split, l_used, p_used, error_estimate, warnings; floats as
-float.hex) or the exception type and its ``partial``.  Two checkouts give
-byte-identical dumps exactly when a change leaves the numbers untouched:
+float.hex) or the exception type and its ``partial``.  Then come the exact
+tables behind the series: every term of the small-gap expansions (D 3..16,
+four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
+polynomials (coefficients as Fraction text, values at l = 1..200 as
+float.hex, scalar and array evaluation), and the order-one Debye polynomials
+at the library's Robin ratios.  Two checkouts give byte-identical dumps
+exactly when a change leaves the numbers untouched:
 
     PYTHONPATH=src python3 tools/dump_exact.py > new.txt
     diff old.txt new.txt
@@ -14,10 +19,15 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from fractions import Fraction
+
+import numpy as np
 
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
-                             TruncationPolicy, classical_term, free_energy,
-                             thermal_correction, zero_T_energy)
+                             TruncationPolicy, assemble_zero_T_expansion,
+                             classical_term, debye_d, debye_m,
+                             degeneracy_polynomial, free_energy, high_T_expansion,
+                             thermal_correction, zero_T_energy, zero_T_expansion)
 
 T_FREE = 0.5
 T_THERMAL = 0.1
@@ -86,9 +96,49 @@ def calls():
                (g16, pair, None, T_FREE, fast))
 
 
+PAIRS = ("pc,pc", "ip,ip", "pc,ip", "ip,pc")
+CHANNELS = (None, Channel.TE, Channel.TM)
+
+
+def _series(label, ser):
+    return {"series": label, "prefactor": _hex(ser.prefactor),
+            "leading_power": ser.leading_power,
+            "terms": [[t.power, t.log_eps, _hex(t.coefficient)] for t in ser.terms]}
+
+
+def _fractions(poly):
+    return [str(c) for c in poly.coefficients]
+
+
+def tables():
+    """One record per exact table or series the library builds."""
+    for dim, bc, ch in itertools.product(range(3, 17), PAIRS, CHANNELS):
+        pair = BoundaryPair.from_string(bc)
+        tag = f"D={dim} bc={bc} ch={ch and ch.value}"
+        yield _series(f"zeroT {tag}", zero_T_expansion(dim, pair, ch))
+        yield _series(f"highT {tag}", high_T_expansion(dim, pair, ch))
+        if dim >= 4 and ch is not None:
+            yield _series(f"assembled {tag}", assemble_zero_T_expansion(dim, pair, ch))
+    ls = np.arange(1, 201, dtype=np.float64)
+    for dim, ch in itertools.product(range(3, 17), (Channel.TE, Channel.TM)):
+        poly = degeneracy_polynomial(ch, dim)
+        nus = ls + (dim - 2) / 2.0
+        yield {"degeneracy": f"D={dim} ch={ch.value}", "coefficients": _fractions(poly),
+               "scalar": [_hex(poly(float(n))) for n in nus],
+               "array": [_hex(v) for v in poly(nus)],
+               "exact": [str(poly.evaluate_exact(l)) for l in range(1, 201)]}
+    yield {"debye": "D_1", "coefficients": _fractions(debye_d(1))}
+    alphas = sorted({Fraction(4 - dim, 2) for dim in range(3, 17)}
+                    | {Fraction(dim - 2, 2) for dim in range(3, 17)})
+    for a in alphas:
+        yield {"debye": f"M_1 alpha={a}", "coefficients": _fractions(debye_m(1, a))}
+
+
 def main() -> None:
     for label, fn, args in calls():
         print(json.dumps(_record(label, fn, *args), sort_keys=True))
+    for rec in tables():
+        print(json.dumps(rec, sort_keys=True))
 
 
 if __name__ == "__main__":

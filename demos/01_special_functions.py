@@ -5,9 +5,9 @@ up to a few thousand, where the factors overflow doubles by hundreds of
 orders of magnitude while the products stay tame.  Everything is therefore
 carried as ln |value| plus a sign.  Two quick demonstrations:
 
-* the Wronskian z (I K' - I' K) = -1, evaluated through the same scaled
-  arithmetic the energy code uses, stays exact to ~1e-13 across 10 orders of
-  magnitude in both order and argument;
+* the Wronskian z (I K' - I' K) = -1, with each product formed from the
+  logs of two Robin combinations as the energy code forms M_l, stays exact to
+  ~1e-13 across 10 orders of magnitude in both order and argument;
 * the exact rational Debye polynomials u_k drive the large-order branch, and
   the first log-derived polynomial pair is printed for reference.
 """
@@ -32,8 +32,9 @@ for nu in (0.5, 5.0, 50.5, 500.0):
         k0 = robin_combination(1.0, 0.0, nu, z, "K")
         zi = robin_combination(0.0, 1.0, nu, z, "I")
         zk = robin_combination(0.0, 1.0, nu, z, "K")
-        w = (i0 * zk) + (-(zi * k0))
-        row.append(f"{abs(w.value() + 1.0):.1e}")
+        w = (i0.sign * zk.sign * math.exp(i0.log + zk.log)
+             - zi.sign * k0.sign * math.exp(zi.log + k0.log))
+        row.append(f"{abs(w + 1.0):.1e}")
     print(f"  nu={nu:>6}: " + "  ".join(row))
 
 print("\nExact Debye recursion output (rational coefficients, power of t):")

@@ -23,7 +23,7 @@ from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryCondition, BoundaryPair, Channel,
                     DegeneracyPolynomial, bc_coefficients, degeneracy,
                     degeneracy_polynomial, nu)
-from .signedlog import SignedLog, signed_log_sum
+from .signedlog import SignedLog
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "lambda_integral", "log_bessel_i", "log_bessel_k", "log_gamma",
     "m_ratio", "nu", "parallel_plate_density", "pfa_energy",
     "pfa_thermal_force", "riemann_zeta", "robin_combination",
-    "signed_log_sum", "sphere_area", "thermal_correction", "thermal_leading",
+    "sphere_area", "thermal_correction", "thermal_leading",
     "zero_T_energy", "zero_T_expansion",
 ]

@@ -14,9 +14,11 @@ Three evaluation branches, selected per (nu, z):
   even- and odd-order parts of sum_k u_k(1/w)/nu^k.  All terms through
   debye.MAX_ORDER are summed: at nu >= 50 they need no stop rule.
 
-_uniform_series gives (eta, w, E, O), also for the Robin series
-a_k = v_k + (alpha/beta) t u_{k-1}; the exact module builds ln M_l from it in
-ratio form, where the sqrt(nu) and w prefactors of I and K cancel.
+_uniform_series gives (w, E, O), also for the Robin series
+a_k = v_k + (alpha/beta) t u_{k-1}; eta follows from w through
+debye.eta_from_w.  The exact module builds ln M_l from it in ratio form,
+where the sqrt(nu) and w prefactors of I and K cancel and the two spheres'
+w values give the decay exponent.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
@@ -108,18 +110,16 @@ def _series_terms(ratio) -> tuple:
                  for k in range(1, MAX_ORDER + 1))
 
 
-def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, float, float]:
-    """(eta, w, E, O) of the uniform expansion (module docstring) at nu, z.
+def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, float]:
+    """(w, E, O) of the uniform expansion (module docstring) at nu, z.
 
     E and O are the even- and odd-order parts of sum_k a_k(1/w)/nu^k, with
     a_k = u_k for ``ratio`` None (I and K) and a_k = v_k + ratio*t*u_{k-1}
     for alpha*B + beta*z*B', ratio = alpha/beta.  The I-type series is
     1 + E + O, the K-type one 1 + E - O.
     """
-    zb = z / nu
-    w = math.hypot(1.0, zb)
+    w = math.hypot(1.0, z / nu)
     t = 1.0 / w
-    eta = eta_from_w(zb, w)
     even = odd = 0.0
     fac = 1.0
     for k, a in enumerate(_series_terms(ratio), 1):
@@ -128,19 +128,19 @@ def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, floa
             odd += a(t) * fac
         else:
             even += a(t) * fac
-    return eta, w, even, odd
+    return w, even, odd
 
 
 def _log_i_debye(nu: float, z: float) -> float:
-    eta, w, even, odd = _uniform_series(nu, z)
-    return nu * eta - 0.5 * (_LOG_2PI + math.log(nu)) - 0.5 * math.log(w) \
-        + math.log1p(even + odd)
+    w, even, odd = _uniform_series(nu, z)
+    return nu * eta_from_w(z / nu, w) - 0.5 * (_LOG_2PI + math.log(nu)) \
+        - 0.5 * math.log(w) + math.log1p(even + odd)
 
 
 def _log_k_debye(nu: float, z: float) -> float:
-    eta, w, even, odd = _uniform_series(nu, z)
-    return -nu * eta + 0.5 * (_LOG_PI_OVER_2 - math.log(nu)) - 0.5 * math.log(w) \
-        + math.log1p(even - odd)
+    w, even, odd = _uniform_series(nu, z)
+    return -nu * eta_from_w(z / nu, w) + 0.5 * (_LOG_PI_OVER_2 - math.log(nu)) \
+        - 0.5 * math.log(w) + math.log1p(even - odd)
 
 
 def log_bessel_i(nu: float, z: float) -> float:

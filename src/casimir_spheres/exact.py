@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -85,22 +84,19 @@ class _LTerm:
         self.ratios = tuple(None if c[1] == 0 else c[0] / c[1] for c in (a1c, a2c))
         self.homog = bc_pair.is_homogeneous
         self.alpha_log = geometry.alpha_log
-        if self.homog:
-            self.pref = 1.0
-        else:
-            n = Fraction(self.nu)
-            self.pref = float((a1c[0] + a1c[1] * n) * (a2c[0] - a2c[1] * n)
-                              / ((a1c[0] - a1c[1] * n) * (a2c[0] + a2c[1] * n)))
+        self.pref = _pref(self.nu, self.ab1, self.ab2)
 
     def log_m(self, u: float) -> tuple[int, float]:
         """(sign, ln|M_l|) at u = a1 * xi."""
         u2 = self.r21 * u
         if self.nu >= _DEBYE_MIN_NU:
-            # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2): the
-            # sqrt(nu) and w prefactors cancel, and a mixed pair (one sphere with
-            # beta = 0) makes M negative.
-            log_m = (-self.decay_exponent(u) + _series_log_ratio(self.nu, u, self.ratios[0])
-                     - _series_log_ratio(self.nu, u2, self.ratios[1]))
+            # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
+            # X = ln[(1 + E + O)/(1 + E - O)]: the sqrt(nu) and w prefactors cancel,
+            # and a mixed pair (one sphere with beta = 0) makes M negative.
+            w1, e1, o1 = _uniform_series(self.nu, u, self.ratios[0])
+            w2, e2, o2 = _uniform_series(self.nu, u2, self.ratios[1])
+            log_m = (-self._exponent(w1, w2) + (math.log1p(e1 + o1) - math.log1p(e1 - o1))
+                     - (math.log1p(e2 + o2) - math.log1p(e2 - o2)))
             return (1 if self.homog else -1), log_m
         a1, b1 = self.ab1
         a2, b2 = self.ab2
@@ -112,10 +108,7 @@ class _LTerm:
                 (i1.log + k2.log) - (i2.log + k1.log))
 
     def f0(self) -> float:
-        s = -2.0 * self.nu * self.alpha_log
-        if self.homog:
-            return math.log(-math.expm1(s))
-        return math.log1p(-self.pref * math.exp(s))
+        return float(_f0(self.nu, self.pref, self.homog, self.alpha_log))
 
     def f(self, u: float) -> float:
         """f_l at u = a1*xi > 0; the u -> 0 limit is f0."""
@@ -123,23 +116,39 @@ class _LTerm:
             return self.f0()
         return _log_one_minus(*self.log_m(u))
 
+    def _w(self, u: float) -> tuple[float, float]:
+        """w = sqrt(1 + (z/nu)^2) at z = u and z = r21 u, as _uniform_series has it."""
+        return math.hypot(1.0, u / self.nu), math.hypot(1.0, self.r21 * u / self.nu)
+
+    def _exponent(self, w1: float, w2: float) -> float:
+        """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log."""
+        return 2.0 * self.nu * (w2 - w1 + math.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
+
     def decay_exponent(self, u: float) -> float:
-        """g(u) = 2 nu [eta(r21 u/nu) - eta(u/nu)]; |M| ~ exp(-g)."""
-        n = self.nu
-        return 2.0 * (math.hypot(n, self.r21 * u) - math.hypot(n, u)
-                      + n * math.log((self.r21 * u / (n + math.hypot(n, self.r21 * u)))
-                                     / (u / (n + math.hypot(n, u)))))
+        """g(u); |M| ~ exp(-g)."""
+        return self._exponent(*self._w(u))
 
     def decay_rate(self, u: float) -> float:
-        """g'(u) = 2 [sqrt(nu^2 + (r21 u)^2) - sqrt(nu^2 + u^2)] / u."""
-        n = self.nu
-        return 2.0 * (math.hypot(n, self.r21 * u) - math.hypot(n, u)) / u
+        """g'(u) = 2 nu (w2 - w1) / u."""
+        w1, w2 = self._w(u)
+        return 2.0 * self.nu * (w2 - w1) / u
 
 
-def _series_log_ratio(nu: float, z: float, ratio) -> float:
-    """X = ln[(1 + E + O)/(1 + E - O)]: one sphere's I-over-K series ratio."""
-    _, _, even, odd = _uniform_series(nu, z, ratio)
-    return math.log1p(even + odd) - math.log1p(even - odd)
+def _pref(nu, ab1, ab2):
+    """M_l's xi -> 0 prefactor (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu)).
+
+    1 for a homogeneous pair; ``nu`` is a float or an array.
+    """
+    (a1, b1), (a2, b2) = ab1, ab2
+    return (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
+
+
+def _f0(nu, pref, homog: bool, alpha_log: float):
+    """f_l(0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array."""
+    s = -2.0 * nu * alpha_log
+    if homog:
+        return np.log(-np.expm1(s))
+    return np.log1p(-pref * np.exp(s))
 
 
 def _log_one_minus(sign: int, log: float) -> float:
@@ -206,14 +215,18 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
     """Zeroth-Matsubara part of the free energy, per unit temperature.
 
     An elementary series: (1/2) sum_l d_l(D) ln(1 - pref_l (a1/a2)^(2 nu)).
-    Multiply by T to obtain the high-temperature (classical) energy.
+    Multiply by T to obtain the high-temperature (classical) energy.  As in
+    _angular_sum, every channel runs to its own stop or cap; if any hits the
+    cap, one NonConvergenceError carries the sum of every channel's completed
+    terms as ``partial`` and the last l computed as ``l_used``.
     """
     alpha = geometry.alpha_log
     dim = geometry.dim
     per_channel: dict[str, float] = {}
     total = _Kahan()
     err = 0.0
-    l_used = 0
+    l_used = l_last = 0
+    failure = None
     block = 65536
     for ch in _channel_pairs(channel):
         dpoly = degeneracy_polynomial(ch, dim)
@@ -225,17 +238,11 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
             lv = np.arange(lo, hi + 1, dtype=np.float64)
             nu_v = lv + (dim - 2) / 2.0
             d_v = dpoly(nu_v)
-            if ctx1.homog:
-                f0 = np.log(-np.expm1(-2.0 * nu_v * alpha))
-            else:
-                a1, b1 = ctx1.ab1
-                a2, b2 = ctx1.ab2
-                pref = ((a1 + b1 * nu_v) * (a2 - b2 * nu_v)
-                        / ((a1 - b1 * nu_v) * (a2 + b2 * nu_v)))
-                f0 = np.log1p(-pref * np.exp(-2.0 * nu_v * alpha))
+            f0 = _f0(nu_v, _pref(nu_v, ctx1.ab1, ctx1.ab2), ctx1.homog, alpha)
             terms = 0.5 * d_v * f0
             contrib = float(np.sum(terms))
             acc.add(contrib)
+            l_last = max(l_last, hi)
             significant = np.nonzero(np.abs(terms) > 1e-16 * abs(acc.value))[0]
             if significant.size:
                 l_used = max(l_used, lo + int(significant[-1]))
@@ -246,13 +253,14 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
                 err += tail
                 break
             if hi >= policy.l_max_hard:
-                raise NonConvergenceError(
-                    f"classical term hit l_max_hard={policy.l_max_hard} "
-                    f"before reaching rel_tol={policy.rel_tol}",
-                    partial=acc.value)
+                failure = (f"classical term hit l_max_hard={policy.l_max_hard} "
+                           f"before reaching rel_tol={policy.rel_tol}")
+                break
             lo = hi + 1
         per_channel[ch.value] = acc.value
         total.add(acc.value)
+    if failure is not None:
+        raise NonConvergenceError(failure, partial=total.value, l_used=l_last)
     value = total.value
     err += 8.0 * np.finfo(float).eps * abs(value)
     return EnergyResult(value=value, per_channel=per_channel, l_used=l_used,
@@ -296,7 +304,7 @@ def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Ch
                  policy: TruncationPolicy, block, stop, temperature: float) -> EnergyResult:
     """Kahan sum over l of each channel's d_l-weighted per-l blocks.
 
-    ``block(l, ctx, d_l, total)`` gives one l's (term, error parts, p_used);
+    ``block(l, ctx, d_l, total)`` gives one l's (term, error, p_used);
     ``stop()`` makes a channel's ``rule(l, nu, term, total, err)``, which
     returns the l-tail bound that ends the sum, or None.  Every channel runs
     to its own stop or cap; if any fails, one NonConvergenceError carries the
@@ -313,10 +321,9 @@ def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Ch
         try:
             for l in range(1, policy.l_max_hard + 1):
                 ctx = _LTerm(geometry, bc_pair, ch, l)
-                term, errors, p = block(l, ctx, float(dpoly(ctx.nu)), acc.value)
+                term, error, p = block(l, ctx, float(dpoly(ctx.nu)), acc.value)
                 acc.add(term)
-                for e in errors:
-                    err += e
+                err += error
                 l_used, p_used = max(l_used, l), max(p_used, p)
                 ltail = rule(l, ctx.nu, term, acc.value, err)
                 if ltail is not None:
@@ -381,7 +388,7 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
     def matsubara_term(l, ctx, d_l, total):
         block, ptail, p = _matsubara_block(ctx, a1T, policy.rel_tol / 20.0,
                                            policy.p_max_hard)
-        return T * d_l * block, (T * d_l * ptail,), p
+        return T * d_l * block, T * d_l * ptail, p
 
     res = _angular_sum(
         geometry, bc_pair, channel, policy, matsubara_term,
@@ -389,8 +396,8 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
     return _certified(res, policy)
 
 
-def _pick_cut(ctx: _LTerm, ftol: float) -> float:
-    """Upper cut X with |f(X)| below ftol, solved from the decay exponent."""
+def _pick_cut(ctx: _LTerm, ftol: float) -> tuple[float, float]:
+    """Upper cut X with |f(X)| below ftol, solved from the decay exponent; (X, f(X))."""
     target = math.log(max(1.0 + abs(ctx.pref), 2.0) / ftol)
     g0 = 2.0 * ctx.nu * math.log(ctx.r21)
     x = max(ctx.nu, (target + g0) / (2.0 * (ctx.r21 - 1.0) / (1.0 + 0.5 * (ctx.r21 - 1.0))))
@@ -399,16 +406,18 @@ def _pick_cut(ctx: _LTerm, ftol: float) -> float:
         if gap <= 0.0:
             break
         x += gap / ctx.decay_rate(x) + 1.0
-    while abs(ctx.f(x)) > ftol:
+    fx = ctx.f(x)
+    while abs(fx) > ftol:
         x *= 1.3
-    return x
+        fx = ctx.f(x)
+    return x, fx
 
 
 def _zero_t_integral(ctx: _LTerm, epsabs: float, epsrel: float) -> tuple[float, float]:
     """int_0^infty f du with a certified exponential tail bound beyond the cut."""
     kappa_inf = 2.0 * (ctx.r21 - 1.0)
     ftol = max(epsabs * kappa_inf / 4.0, 1e-240)
-    x_cut = _pick_cut(ctx, ftol)
+    x_cut, f_cut = _pick_cut(ctx, ftol)
     pts = [p for p in (0.5 * ctx.nu, ctx.nu, 2.0 * ctx.nu) if 0.0 < p < x_cut]
     with warnings.catch_warnings():
         # Near machine precision QUADPACK reports the roundoff limit through a
@@ -416,7 +425,7 @@ def _zero_t_integral(ctx: _LTerm, epsabs: float, epsrel: float) -> tuple[float, 
         warnings.simplefilter("ignore", IntegrationWarning)
         val, qerr = quad(ctx.f, 0.0, x_cut, points=pts or None, limit=300,
                          epsabs=epsabs, epsrel=epsrel)
-    tail = abs(ctx.f(x_cut)) / ctx.decay_rate(x_cut)
+    tail = abs(f_cut) / ctx.decay_rate(x_cut)
     return val, qerr + tail
 
 
@@ -436,7 +445,7 @@ def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
         integral, ierr = _zero_t_integral(ctx, epsabs=epsabs, epsrel=policy.rel_tol / 10.0)
         if l == 1:
             scale = abs(d_l * integral)
-        return inv_2pi_a1 * d_l * integral, (inv_2pi_a1 * d_l * ierr,), 0
+        return inv_2pi_a1 * d_l * integral, inv_2pi_a1 * d_l * ierr, 0
 
     res = _angular_sum(
         geometry, bc_pair, channel, policy, vacuum_term,
@@ -466,8 +475,7 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
         delta = d_l * (T * block - inv_2pi_a1 * integral)
         truncation = d_l * (T * ptail + inv_2pi_a1 * ierr)
         rounding = d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
-        # Two separate additions: their sum would move error_estimate by an ulp.
-        return delta, (truncation, rounding), p
+        return delta, truncation + rounding, p
 
     res = _angular_sum(geometry, bc_pair, channel, policy, difference_term,
                        lambda: _difference_stop(policy), T)

@@ -49,8 +49,10 @@ def _check_wronskian() -> CheckResult:
             k0 = robin_combination(1.0, 0.0, nu, z, "K")
             zi = robin_combination(0.0, 1.0, nu, z, "I")   # z I'
             zk = robin_combination(0.0, 1.0, nu, z, "K")   # z K'
-            w = (i0 * zk) + (-(zi * k0))                   # z (I K' - I' K) = -1
-            resid = abs(w.value() + 1.0)
+            # z (I K' - I' K) = -1, with each product formed from its logs
+            w = (i0.sign * zk.sign * math.exp(i0.log + zk.log)
+                 - zi.sign * k0.sign * math.exp(zi.log + k0.log))
+            resid = abs(w + 1.0)
             worst = max(worst, resid)
     return CheckResult("wronskian residual <= 1e-11", worst <= 1e-11,
                        f"worst {worst:.2e}")

@@ -1,11 +1,10 @@
-"""Sign-and-log representation of real numbers.
+"""Sign-and-log record of a real number.
 
-Products of modified Bessel functions overflow double precision long before
-the physically relevant ratios do (orders of a few hundred suffice), so all
-intermediate products are carried as a sign together with the natural log of
-the magnitude.  Multiplication and division are exact on the sign and reduce
-to float additions on the log; addition uses the usual log-sum-exp trick and
-reports how many decimal digits were lost to cancellation.
+Modified Bessel functions and their Robin combinations overflow double
+precision long before the physically relevant ratios do (orders of a few
+hundred suffice), so `bessel.robin_combination` returns its result as a sign
+together with the natural log of the magnitude.  The record carries no
+arithmetic: callers combine the logs as plain floats.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["SignedLog", "signed_log_sum"]
+__all__ = ["SignedLog"]
 
 _NEG_INF = float("-inf")
 
@@ -42,12 +41,6 @@ class SignedLog:
         return cls(0, _NEG_INF)
 
     @classmethod
-    def from_value(cls, x: float) -> "SignedLog":
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
     def from_log(cls, sign: int, log: float) -> "SignedLog":
         if sign == 0:
             return cls.zero()
@@ -61,46 +54,3 @@ class SignedLog:
             return self.sign * math.exp(self.log)
         except OverflowError:
             return self.sign * math.inf
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        s = self.sign * other.sign
-        if s == 0:
-            return SignedLog.zero()
-        return SignedLog(s, self.log + other.log)
-
-    def __truediv__(self, other: "SignedLog") -> "SignedLog":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by SignedLog zero")
-        if self.sign == 0:
-            return SignedLog.zero()
-        return SignedLog(self.sign * other.sign, self.log - other.log)
-
-    def __neg__(self) -> "SignedLog":
-        return SignedLog(-self.sign, self.log)
-
-    def __add__(self, other: "SignedLog") -> "SignedLog":
-        return signed_log_sum(self, other)[0]
-
-
-def signed_log_sum(a: SignedLog, b: SignedLog) -> tuple[SignedLog, float]:
-    """Add two SignedLog values.
-
-    Returns the sum together with the number of decimal digits lost to
-    cancellation (0.0 for same-sign additions).
-    """
-    if a.sign == 0:
-        return b, 0.0
-    if b.sign == 0:
-        return a, 0.0
-    if b.log > a.log:
-        a, b = b, a
-    diff = b.log - a.log  # <= 0
-    if a.sign == b.sign:
-        return SignedLog(a.sign, a.log + math.log1p(math.exp(diff))), 0.0
-    r = math.exp(diff)
-    if r == 1.0:
-        # Exact cancellation at float resolution.
-        return SignedLog.zero(), math.inf
-    one_minus = -math.expm1(diff)
-    lost = -math.log10(one_minus) if one_minus < 1.0 else 0.0
-    return SignedLog(a.sign, a.log + math.log(one_minus)), max(lost, 0.0)

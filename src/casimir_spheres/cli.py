@@ -5,9 +5,11 @@ embeds it in the output header, computes the requested grid and writes rows
 sorted deterministically, so identical configs produce byte-identical output
 regardless of the worker count.
 
-Exit codes: 0 success; 1 configuration error; 2 numerical non-convergence
-(partial rows are still written, marked in the status column); 3 golden-file
-mismatch beyond stored tolerances.
+Exit codes: 0 success; 1 configuration error (an unknown flag or config-file
+key, a value the CLI or the library rejects, or a config, golden or output
+file that cannot be opened), reported as one "configuration error:" line on
+stderr; 2 numerical non-convergence (partial rows are still written, marked
+in the status column); 3 golden-file mismatch beyond stored tolerances.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -59,27 +62,23 @@ class RunConfig:
     golden: Optional[str] = None
     with_force: bool = False
 
+    @property
+    def policy(self) -> TruncationPolicy:
+        return TruncationPolicy(rel_tol=self.rel_tol, l_max_hard=self.l_max_hard,
+                                p_max_hard=self.p_max_hard)
+
     def validate(self) -> None:
+        """The CLI's own checks, then the library's types on every grid value."""
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not self.dims or any(not (3 <= d <= 16) for d in self.dims):
+        if not all((self.dims, self.eps_list, self.temps, self.bc_pairs, self.channels)):
+            raise ConfigError("dim, eps, temp, bc and channel each need a value")
+        if any(not (3 <= d <= 16) for d in self.dims):
             raise ConfigError("dims must be integers in [3, 16]")
-        if not self.eps_list or any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive")
-        if not self.temps or any(t < 0 for t in self.temps):
-            raise ConfigError("temperatures must be >= 0")
-        if not self.bc_pairs:
-            raise ConfigError("at least one boundary pair is required")
-        for bc in self.bc_pairs:
-            try:
-                BoundaryPair.from_string(bc)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for ch in self.channels:
-            if ch not in _CHANNELS:
-                raise ConfigError(f"channel must be te/tm/total, got {ch!r}")
-        if not (0 < self.rel_tol <= 1e-3):
-            raise ConfigError("rel-tol must lie in (0, 1e-3]")
+        if any(not (math.isfinite(t) and t >= 0.0) for t in self.temps):
+            raise ConfigError("temperatures must be finite and >= 0")
+        if any(ch not in _CHANNELS for ch in self.channels):
+            raise ConfigError(f"channels must be te/tm/total, got {self.channels}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.threads < 1:
@@ -87,11 +86,17 @@ class RunConfig:
         if self.mode == "point" and (len(self.dims) * len(self.eps_list)
                                      * len(self.temps) * len(self.bc_pairs)) != 1:
             raise ConfigError("mode=point takes exactly one (dim, eps, T, bc) point")
+        try:
+            self.policy  # TruncationPolicy checks rel_tol and both caps
+            for dim, eps, _temp, bc in _grid(self):
+                Geometry.from_eps(eps, dim)
+                BoundaryPair.from_string(bc)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _parse_floats(text: str) -> list[float]:
     """Comma list, or lo:hi:n for a logarithmic range."""
-    text = text.strip()
     if ":" in text:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -104,7 +109,47 @@ def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _items(cast, sep=","):
+    """Parser of a sep-separated list; a repeated flag gives a list of items."""
+    return lambda value: [cast(p) for p in (value if isinstance(value, list)
+                                            else value.split(sep)) if p.strip()]
+
+
+def _parse_bool(value) -> bool:
+    """1/true/yes or 0/false/no; --force itself gives True."""
+    text = str(value).strip().lower()
+    if text not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+    return text in ("1", "true", "yes")
+
+
+# One (field, flag, parser, help) row per RunConfig field, in field order.  One
+# parser reads the flag value and the config-file value; a config-file key is
+# the flag name without its dashes (``-`` as ``_``) or the field name.
+_SETTINGS = (
+    ("mode", "--mode", str, "|".join(_MODES)),
+    ("dims", "--dim", _items(int), "comma list of space dimensions (3..16)"),
+    ("eps_list", "--eps", _parse_floats, "comma list or lo:hi:n log range of gaps"),
+    ("temps", "--temp", _parse_floats, "comma list of temperatures (units 1/a1)"),
+    ("bc_pairs", "--bc", _items(str, ";"), "inner,outer pair from {pc, ip}; repeatable"),
+    ("channels", "--channel", _items(lambda p: p.strip().lower()),
+     "comma list from {te, tm, total}"),
+    ("rel_tol", "--rel-tol", float, None),
+    ("l_max_hard", "--l-max", int, None),
+    ("p_max_hard", "--p-max", int, None),
+    ("fmt", "--format", str, "csv|json"),
+    ("out", "--out", str, "output path, '-' for stdout"),
+    ("threads", "--threads", int, None),
+    ("golden", "--golden", str, "compare against a stored result file; exit 3 on drift"),
+    ("with_force", "--force", _parse_bool, "add central-difference forces to total rows"),
+)
+_ACTIONS = {"--bc": "append", "--force": "store_true"}
+_CONFIG_KEYS = {key: name for name, flag, *_ in _SETTINGS
+                for key in (flag[2:].replace("-", "_"), name)}
+
+
 def _load_config_file(path: str) -> dict:
+    """{field: raw value} of a flat ``key = value`` file."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -114,82 +159,40 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            if key.replace("-", "_") not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            out[_CONFIG_KEYS[key.replace("-", "_")]] = val
     return out
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="casimir-spheres", add_help=True,
+    # Flags left off the command line stay out of the namespace.
+    p = _ArgumentParser(
+        prog="casimir-spheres", add_help=True, argument_default=argparse.SUPPRESS,
         description="Casimir interaction of concentric hyperspheres: exact, "
                     "PFA and small-gap expansion evaluations.")
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--dim", help="comma list of space dimensions (3..16)")
-    p.add_argument("--eps", help="comma list or lo:hi:n log range of gaps")
-    p.add_argument("--temp", help="comma list of temperatures (units 1/a1)")
-    p.add_argument("--bc", action="append",
-                   help="inner,outer boundary pair from {pc, ip}; repeatable")
-    p.add_argument("--channel", help="comma list from {te, tm, total}")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--l-max", type=int, dest="l_max_hard")
-    p.add_argument("--p-max", type=int, dest="p_max_hard")
-    p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    p.add_argument("--out", help="output path, '-' for stdout")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--golden", help="compare against a stored result file; exit 3 on drift")
-    p.add_argument("--force", action="store_true", dest="with_force",
-                   help="add central-difference forces to exact total rows")
+    for name, flag, _parse, help_ in _SETTINGS:
+        p.add_argument(flag, dest=name, action=_ACTIONS.get(flag, "store"), help=help_)
     return p
 
 
-_CONFIG_ALIASES = {"format": "fmt", "l_max": "l_max_hard", "p_max": "p_max_hard",
-                   "force": "with_force"}
-
-
 def build_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    settings = _load_config_file(args.pop("config")) if "config" in args else {}
+    settings.update(args)
     cfg = RunConfig()
-    settings = {}
-    if args.config:
-        for key, val in _load_config_file(args.config).items():
-            settings[_CONFIG_ALIASES.get(key, key)] = val
-    for key in ("mode", "dim", "eps", "temp", "bc", "channel", "rel_tol",
-                "l_max_hard", "p_max_hard", "fmt", "out", "threads", "golden",
-                "with_force"):
-        v = getattr(args, key, None)
-        if v is not None and v is not False:
-            settings[key] = v
-    try:
-        if "mode" in settings:
-            cfg.mode = str(settings["mode"])
-        if "dim" in settings:
-            cfg.dims = [int(x) for x in str(settings["dim"]).split(",") if x.strip()]
-        if "eps" in settings:
-            cfg.eps_list = _parse_floats(str(settings["eps"]))
-        if "temp" in settings:
-            cfg.temps = _parse_floats(str(settings["temp"]))
-        if "bc" in settings:
-            v = settings["bc"]
-            cfg.bc_pairs = list(v) if isinstance(v, list) else \
-                [s for s in str(v).split(";") if s.strip()]
-        if "channel" in settings:
-            cfg.channels = [s.strip().lower()
-                            for s in str(settings["channel"]).split(",") if s.strip()]
-        for key, cast in (("rel_tol", float), ("l_max_hard", int),
-                          ("p_max_hard", int), ("threads", int)):
-            if key in settings:
-                setattr(cfg, key, cast(settings[key]))
-        if "fmt" in settings:
-            cfg.fmt = str(settings["fmt"])
-        if "out" in settings:
-            cfg.out = str(settings["out"])
-        if "golden" in settings:
-            cfg.golden = str(settings["golden"])
-        if "with_force" in settings:
-            cfg.with_force = settings["with_force"] in (True, "1", "true", "yes")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for name, flag, parse, _help in _SETTINGS:
+        if name in settings:
+            try:
+                setattr(cfg, name, parse(settings[name]))
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -201,12 +204,18 @@ def _result_row(dim, geom, eps, temp, bc, channel, method, energy, frc, l_used,
                                     l_used, p_used, err, status)))
 
 
-def _compute_point(task) -> list[dict]:
+def _exact(geom, bc, ch, temp, policy):
+    """The exact energy: the vacuum energy at T = 0, the free energy above."""
+    return (zero_T_energy(geom, bc, ch, policy) if temp == 0.0
+            else free_energy(geom, bc, ch, temp, policy))
+
+
+def _compute_point(cfg: RunConfig, point) -> list[dict]:
     """All rows for one (dim, eps, T, bc) grid point; runs in a worker."""
-    dim, eps, temp, bc_str, channels, rel_tol, l_max, p_max, with_force = task
+    dim, eps, temp, bc_str = point
     bc = BoundaryPair.from_string(bc_str)
     geom = Geometry.from_eps(eps, dim)
-    policy = TruncationPolicy(rel_tol=rel_tol, l_max_hard=l_max, p_max_hard=p_max)
+    policy = cfg.policy
     rows = []
 
     def row(channel_name, method, energy, l_used=0, p_used=0, err=None,
@@ -215,22 +224,19 @@ def _compute_point(task) -> list[dict]:
                                 energy, frc, l_used, p_used, err, status))
 
     regime = "zeroT" if temp == 0.0 else "highT"
-    for ch_name in channels:
+    for ch_name in cfg.channels:
         ch = _CHANNELS[ch_name]
         label = "total" if ch is None else ch.value
         # exact
         try:
-            if temp == 0.0:
-                res = zero_T_energy(geom, bc, ch, policy)
-            else:
-                res = free_energy(geom, bc, ch, temp, policy)
+            res = _exact(geom, bc, ch, temp, policy)
         except NonConvergenceError as exc:
             row(label, "exact", exc.partial if exc.partial is not None
                 else math.nan, exc.l_used, exc.p_used, status="failed")
         else:
             # A failed force keeps the converged energy; the row is failed.
             frc, status = None, "ok"
-            if with_force and ch is None:
+            if cfg.with_force and ch is None:
                 try:
                     frc = force_fn(geom, bc, temp, policy)
                 except NonConvergenceError:
@@ -256,21 +262,19 @@ def _compute_point(task) -> list[dict]:
 
 
 def _grid(cfg: RunConfig):
-    for dim in cfg.dims:
-        for eps in cfg.eps_list:
-            for temp in cfg.temps:
-                for bc in cfg.bc_pairs:
-                    yield (dim, eps, temp, bc, tuple(cfg.channels), cfg.rel_tol,
-                           cfg.l_max_hard, cfg.p_max_hard, cfg.with_force)
+    """(dim, eps, T, bc) of every grid point, in configuration order."""
+    return itertools.product(cfg.dims, cfg.eps_list, cfg.temps, cfg.bc_pairs)
 
 
 def _run_grid(cfg: RunConfig) -> list[dict]:
-    tasks = list(_grid(cfg))
-    if cfg.threads > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as ex:
-            all_rows = [r for rows in ex.map(_compute_point, tasks) for r in rows]
+    points = list(_grid(cfg))
+    if cfg.threads > 1 and len(points) > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(cfg.threads, len(points))) as ex:
+            all_rows = [r for rows in ex.map(_compute_point, itertools.repeat(cfg), points)
+                        for r in rows]
     else:
-        all_rows = [r for t in tasks for r in _compute_point(t)]
+        all_rows = [r for p in points for r in _compute_point(cfg, p)]
     order = {"exact": 0, "pfa": 1, "expansion": 2}
     all_rows.sort(key=lambda r: (r["D"], r["eps"], r["T"], r["bc_inner"],
                                  r["bc_outer"], r["channel"], order[r["method"]]))
@@ -280,21 +284,17 @@ def _run_grid(cfg: RunConfig) -> list[dict]:
 def convergence_report(cfg: RunConfig) -> list[dict]:
     """Energy against (l_max, p_max) caps for the configured grid point."""
     rows = []
-    for dim, eps, temp, bc_str, _chs, rel_tol, l_max, p_max, _f in _grid(cfg):
+    for dim, eps, temp, bc_str in _grid(cfg):
         bc = BoundaryPair.from_string(bc_str)
         geom = Geometry.from_eps(eps, dim)
-        full = TruncationPolicy(rel_tol=rel_tol, l_max_hard=l_max, p_max_hard=p_max)
-        res = (zero_T_energy(geom, bc, None, full) if temp == 0.0
-               else free_energy(geom, bc, None, temp, full))
+        res = _exact(geom, bc, None, temp, cfg.policy)
         ladder = sorted({max(1, int(res.l_used * f)) for f in
                          (0.25, 0.5, 0.75, 1.0, 1.5)})
         for lcap in ladder:
-            pcap = max(1, res.p_used * 2) if temp > 0 else p_max
-            pol = TruncationPolicy(rel_tol=rel_tol, l_max_hard=lcap,
-                                   p_max_hard=max(pcap, 1))
+            pcap = max(1, res.p_used * 2) if temp > 0 else cfg.p_max_hard
+            pol = dataclasses.replace(cfg.policy, l_max_hard=lcap, p_max_hard=pcap)
             try:
-                r = (zero_T_energy(geom, bc, None, pol) if temp == 0.0
-                     else free_energy(geom, bc, None, temp, pol))
+                r = _exact(geom, bc, None, temp, pol)
                 energy, err, status = r.value, r.error_estimate, "ok"
                 l_used, p_used = r.l_used, r.p_used
             except NonConvergenceError as exc:
@@ -425,14 +425,10 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = build_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
+        return run(build_config(sys.argv[1:] if argv is None else argv))
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        # argparse's own exits: remap parse failures to the config-error code
-        return 0 if exc.code in (0, None) else 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -175,8 +175,8 @@ def _log_one_minus(sign: int, log: float) -> float:
 def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
             channel: Channel, xi: float) -> float:
     """The reflection-coefficient product M_l at imaginary frequency xi > 0."""
-    if not xi > 0.0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"xi must be positive and finite, got {xi}")
     ctx = _LTerm(geometry, bc_pair, channel, l)
     return SignedLog.from_log(*ctx.log_m(geometry.a1 * xi)).value()
 
@@ -184,8 +184,8 @@ def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
 def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,
         channel: Channel, xi: float) -> float:
     """ln(1 - M_l(xi)); at xi = 0 the closed small-argument form is used."""
-    if xi < 0.0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise ValueError(f"xi must be finite and >= 0, got {xi}")
     return _LTerm(geometry, bc_pair, channel, l).f(geometry.a1 * xi)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,8 +68,9 @@ class TruncationPolicy:
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3):
             raise ValueError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol}")
-        if self.l_max_hard < 1 or self.p_max_hard < 1:
-            raise ValueError("hard caps must be positive")
+        for cap in (self.l_max_hard, self.p_max_hard):
+            if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+                raise ValueError(f"hard caps must be positive integers, got {cap!r}")
 
 
 @dataclass(frozen=True)

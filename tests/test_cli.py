@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from casimir_spheres.cli import (RESULT_FIELDS, ConfigError, build_config,
+from casimir_spheres import cli
+from casimir_spheres.cli import (RESULT_FIELDS, ConfigError, RunConfig, build_config,
                                  compare_golden, main, parse_output,
                                  render_csv, run)
 
@@ -47,6 +49,84 @@ def test_config_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, ["--not-a-flag"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l-max", "0"], ["--p-max", "0"], ["--l-max", "1e3"],
+    ["--eps", "nan"], ["--eps", "inf"], ["--temp", "nan"], ["--temp", "inf"],
+    ["--mode", "bogus"], ["--format", "xml"], ["--not-a-flag"],
+    ["--config", "missing.cfg"],
+    ["--golden", "missing.csv", "--mode", "sweep", "--eps", "0.5"] + FAST_ARGS,
+    ["--out", "no-such-dir/out.csv", "--mode", "sweep", "--eps", "0.5"] + FAST_ARGS,
+], ids=lambda argv: " ".join(argv[:2]))
+def test_bad_input_is_one_config_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, argv)  # an uncaught exception fails the test
+    assert code == 1
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_unknown_config_key_names_key_and_line(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("mode = sweep\n# T in units of 1/a1\ntemperature = 1\n")
+    code, out, err = run_cli(capsys, ["--config", str(cfgfile)])
+    assert (code, out) == (1, "")
+    assert err == f"configuration error: {cfgfile}:3: unknown key 'temperature'\n"
+
+
+@pytest.mark.parametrize("forms", [
+    ("l_max = 500", "l_max_hard = 500", "l-max = 500", "--l-max 500"),
+    ("temp = 1", "temps = 1", "--temp 1"),
+    ("force = 1", "with_force = yes", "force = True", "--force"),
+], ids=["l_max", "temp", "force"])
+def test_config_key_forms_agree(forms, tmp_path):
+    """A key is the flag name or the field name, and means what the flag means."""
+    cfgs = []
+    for i, form in enumerate(forms):
+        if form.startswith("--"):
+            cfgs.append(build_config(form.split()))
+            continue
+        cfgfile = tmp_path / f"{i}.cfg"
+        cfgfile.write_text(form + "\n")
+        cfgs.append(build_config(["--config", str(cfgfile)]))
+    assert cfgs[0] != RunConfig()
+    assert all(c == cfgs[0] for c in cfgs)
+
+
+def test_bad_force_value_rejected(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("force = on\n")
+    with pytest.raises(ConfigError, match="--force"):
+        build_config(["--config", str(cfgfile)])
+
+
+def test_settings_table_has_one_row_per_field():
+    assert [row[0] for row in cli._SETTINGS] == \
+        [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_csv_header_pins_embedded_config(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("temps = 0,20\nchannels = total,TE\nwith_force = yes\n")
+    cfg = build_config(["--config", str(cfgfile), "--mode", "sweep", "--dim", "3,4",
+                        "--eps", "0.01:0.1:2", "--bc", "pc,pc", "--bc", "ip,pc",
+                        "--rel-tol", "1e-6", "--l-max", "500", "--format", "csv",
+                        "--threads", "2", "--out", "x.csv"])
+    assert render_csv(cfg, []) == """\
+# casimir-spheres 0.1.0
+# bc_pairs = ['pc,pc', 'ip,pc']
+# channels = ['total', 'te']
+# dims = [3, 4]
+# eps_list = [0.01, 0.1]
+# fmt = csv
+# l_max_hard = 500
+# mode = sweep
+# p_max_hard = 1000000
+# rel_tol = 1e-06
+# temps = [0.0, 20.0]
+# with_force = True
+D,a1,a2,eps,T,bc_inner,bc_outer,channel,method,energy,force,l_used,p_used,error_estimate,status
+"""
 
 
 def test_eps_log_range():

@@ -40,6 +40,11 @@ def test_policy_validation():
         TruncationPolicy(rel_tol=0.0)
     with pytest.raises(ValueError):
         TruncationPolicy(l_max_hard=0)
+    # caps bound range(): a float or a bool is not a cap
+    for caps in ({"l_max_hard": 1e3}, {"l_max_hard": True}, {"p_max_hard": 2.0},
+                 {"p_max_hard": 0}):
+        with pytest.raises(ValueError):
+            TruncationPolicy(**caps)
 
 
 # --- M and f -----------------------------------------------------------------
@@ -70,6 +75,16 @@ def test_m_mixed_negative():
         for ch in (Channel.TE, Channel.TM):
             for bc in (PCIP, IPPC):
                 assert m_ratio(l, g, bc, ch, xi) < 0.0
+
+
+@pytest.mark.parametrize("l", [10, 60])  # below and above the nu = 50 seam
+@pytest.mark.parametrize("xi", [math.nan, math.inf])
+def test_non_finite_xi_rejected(l, xi):
+    g = Geometry.from_eps(0.05, 3)
+    with pytest.raises(ValueError, match="xi must be"):
+        f_l(l, g, PCPC, Channel.TE, xi)
+    with pytest.raises(ValueError, match="xi must be"):
+        m_ratio(l, g, PCPC, Channel.TE, xi)
 
 
 def test_m_vanishes_at_large_separation():

@@ -8,8 +8,10 @@ tables behind the series: every term of the small-gap expansions (D 3..16,
 four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
 polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), and the order-one Debye polynomials
-at the library's Robin ratios.  Two checkouts give byte-identical dumps
-exactly when a change leaves the numbers untouched:
+at the library's Robin ratios.  Last come the exit code and full stdout of
+a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with forces, a
+convergence ladder).  Two checkouts give byte-identical dumps exactly when a
+change leaves the numbers and the CLI output untouched:
 
     PYTHONPATH=src python3 tools/dump_exact.py > new.txt
     diff old.txt new.txt
@@ -23,13 +25,16 @@ which prints the worst |new value - old value| / (old error_estimate) over
 the calls and their per-channel splits, and exits non-zero if any call
 changes l_used, p_used, its warnings or its failure type, if any value moves
 by at least the call's error_estimate, if a call of OLD is missing from NEW,
-or if any table record differs.  Fields that OLD does not have are not
+if any table record differs, or if a CLI run of OLD is missing from NEW or
+not byte-identical there.  Fields and CLI runs that OLD does not have are not
 compared.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -39,6 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from casimir_spheres import cli
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
                              TruncationPolicy, assemble_zero_T_expansion,
                              classical_term, debye_d, debye_m,
@@ -118,6 +124,23 @@ def calls():
                (g16, pair, None, T_FREE, fast))
 
 
+def cli_runs():
+    """(label, argv) of every CLI run of the dump."""
+    sweep = ["--mode", "sweep", "--dim", "3,4", "--eps", "0.5", "--temp", "0,20",
+             "--bc", "pc,pc", "--bc", "pc,ip", "--rel-tol", "1e-6", "--force"]
+    yield "sweep csv", sweep + ["--format", "csv"]
+    yield "sweep json", sweep + ["--format", "json"]
+    yield "convergence", ["--mode", "convergence", "--dim", "3", "--eps", "0.3",
+                          "--temp", "0.5", "--rel-tol", "1e-6"]
+
+
+def _cli_record(label, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"cli": label, "argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
 PAIRS = ("pc,pc", "ip,ip", "pc,ip", "ip,pc")
 CHANNELS = (None, Channel.TE, Channel.TM)
 
@@ -157,16 +180,18 @@ def tables():
 
 
 def _load(path):
-    """(call records by label, table records in order) of one dump file."""
-    calls_by_label, table_recs = {}, []
+    """(call records by label, CLI records by label, table records in order)."""
+    calls_by_label, cli_by_label, table_recs = {}, {}, []
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
             if "call" in rec:
                 calls_by_label[rec["call"]] = rec
+            elif "cli" in rec:
+                cli_by_label[rec["cli"]] = rec
             else:
                 table_recs.append(rec)
-    return calls_by_label, table_recs
+    return calls_by_label, cli_by_label, table_recs
 
 
 def _call_problems(old, new):
@@ -195,8 +220,8 @@ def _call_problems(old, new):
 
 def compare(old_path, new_path) -> int:
     """Print how NEW's numbers moved against OLD's; 1 on any failed check."""
-    old_calls, old_tables = _load(old_path)
-    new_calls, new_tables = _load(new_path)
+    old_calls, old_cli, old_tables = _load(old_path)
+    new_calls, new_cli, new_tables = _load(new_path)
     failed = False
     worst, worst_label = 0.0, None
     for label, old in old_calls.items():
@@ -212,6 +237,13 @@ def compare(old_path, new_path) -> int:
             failed = True
     for label in new_calls.keys() - old_calls.keys():
         print(f"new call {label}")
+    for label, old in old_cli.items():
+        if new_cli.get(label) != old:
+            print(f"FAIL cli {label}: " + ("output differs" if label in new_cli
+                                           else "missing from NEW"))
+            failed = True
+    for label in sorted(new_cli.keys() - old_cli.keys()):
+        print(f"new cli run {label}")
     if old_tables != new_tables:
         print(f"FAIL table records differ ({len(old_tables)} -> {len(new_tables)} records)")
         failed = True
@@ -231,6 +263,8 @@ def main() -> None:
         print(json.dumps(_record(label, fn, *args_), sort_keys=True))
     for rec in tables():
         print(json.dumps(rec, sort_keys=True))
+    for label, argv in cli_runs():
+        print(json.dumps(_cli_record(label, argv), sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Optional
 
 from .debye import debye_d, debye_m
 from .errors import OutOfRegimeError
 from .gammazeta import riemann_zeta
 from .geometry import Geometry
-from .modes import BoundaryCondition, BoundaryPair, Channel, degeneracy_polynomial
+from .modes import (BoundaryCondition, BoundaryPair, Channel, bc_coefficients,
+                    degeneracy_polynomial)
 
 __all__ = [
     "ExpansionSeries",
@@ -50,7 +50,6 @@ __all__ = [
 Regime = Literal["zeroT", "highT"]
 
 _PC = BoundaryCondition.PERFECTLY_CONDUCTING
-_IP = BoundaryCondition.INFINITELY_PERMEABLE
 
 
 @dataclass(frozen=True)
@@ -294,12 +293,12 @@ def _zeroT_channel_terms(dim: int, bc_pair: BoundaryPair,
     return out
 
 
-def _merge_total(dim: int, te_terms, tm_terms) -> list[ExpansionTerm]:
-    w_te = _channel_weight(dim, Channel.TE)
-    w_tm = _channel_weight(dim, Channel.TM)
+def _merge_total(dim: int, bc_pair: BoundaryPair, channel_terms) -> list[ExpansionTerm]:
+    """The channel-weighted sum of the TE and TM series from ``channel_terms``."""
     acc: dict[tuple[int, bool], float] = {}
-    for w, terms in ((w_te, te_terms), (w_tm, tm_terms)):
-        for t in terms:
+    for ch in (Channel.TE, Channel.TM):
+        w = _channel_weight(dim, ch)
+        for t in channel_terms(dim, bc_pair, ch):
             key = (t.power, t.log_eps)
             acc[key] = acc.get(key, 0.0) + w * t.coefficient
     return [ExpansionTerm(p, lg, c) for (p, lg), c in
@@ -311,36 +310,29 @@ def _check_dim_supported(dim: int) -> None:
         raise OutOfRegimeError(f"expansions support integer D in [3, 16], got {dim!r}")
 
 
+def _expansion(regime: Regime, dim: int, bc_pair: BoundaryPair,
+               channel: Optional[Channel]) -> ExpansionSeries:
+    """The small-gap series of one regime; a total merges the TE and TM series."""
+    _check_dim_supported(dim)
+    channel_terms = _highT_channel_terms if regime == "highT" else _zeroT_channel_terms
+    terms = (_merge_total(dim, bc_pair, channel_terms) if channel is None
+             else channel_terms(dim, bc_pair, channel))
+    return ExpansionSeries(
+        prefactor=_pfa_coefficient(dim, bc_pair, regime, channel),
+        leading_power=-(dim - 1) if regime == "highT" else -dim, terms=tuple(terms),
+        regime=regime, dim=dim, bc_pair=bc_pair, channel=channel)
+
+
 def high_T_expansion(dim: int, bc_pair: BoundaryPair,
                      channel: Optional[Channel] = None) -> ExpansionSeries:
     """Small-gap series of the classical term, per unit temperature."""
-    _check_dim_supported(dim)
-    if channel is None:
-        terms = _merge_total(dim,
-                             _highT_channel_terms(dim, bc_pair, Channel.TE),
-                             _highT_channel_terms(dim, bc_pair, Channel.TM))
-    else:
-        terms = _highT_channel_terms(dim, bc_pair, channel)
-    return ExpansionSeries(
-        prefactor=_pfa_coefficient(dim, bc_pair, "highT", channel),
-        leading_power=-(dim - 1), terms=tuple(terms), regime="highT",
-        dim=dim, bc_pair=bc_pair, channel=channel)
+    return _expansion("highT", dim, bc_pair, channel)
 
 
 def zero_T_expansion(dim: int, bc_pair: BoundaryPair,
                      channel: Optional[Channel] = None) -> ExpansionSeries:
     """Small-gap series of the vacuum energy (a1 = 1 units)."""
-    _check_dim_supported(dim)
-    if channel is None:
-        terms = _merge_total(dim,
-                             _zeroT_channel_terms(dim, bc_pair, Channel.TE),
-                             _zeroT_channel_terms(dim, bc_pair, Channel.TM))
-    else:
-        terms = _zeroT_channel_terms(dim, bc_pair, channel)
-    return ExpansionSeries(
-        prefactor=_pfa_coefficient(dim, bc_pair, "zeroT", channel),
-        leading_power=-dim, terms=tuple(terms), regime="zeroT",
-        dim=dim, bc_pair=bc_pair, channel=channel)
+    return _expansion("zeroT", dim, bc_pair, channel)
 
 
 # --- re-derivation of the zero-T series from the coefficient integrals ------
@@ -388,10 +380,8 @@ def _coef_g_bracket(z: float, delta: float, kappa: float) -> float:
 
 def _order_one_polynomial(channel: Channel, bc: BoundaryCondition, dim: int):
     """First Debye-log polynomial attached to one sphere (Tables of P_1/Q_1)."""
-    pc = bc is _PC
-    if channel is Channel.TE:
-        return debye_d(1) if pc else debye_m(1, Fraction(4 - dim, 2))
-    return debye_m(1, Fraction(dim - 2, 2)) if pc else debye_d(1)
+    alpha, beta = bc_coefficients(channel, bc, dim)
+    return debye_m(1, alpha / beta) if beta else debye_d(1)
 
 
 def _series_parameters(dim: int, bc_pair: BoundaryPair, channel: Channel):

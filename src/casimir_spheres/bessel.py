@@ -5,14 +5,21 @@ Three evaluation branches, selected per (nu, z):
 * ascending power series in log form for z <= 30 (any order) -- the sum has
   positive terms only, so it is cancellation free;
 * scaled AMOS routines (scipy ive/kve) for moderate orders and larger z;
-* uniform large-order asymptotics (DLMF 10.41) for nu >= 50,
+* uniform large-order asymptotics (DLMF 10.41) for nu >= 50, and for every
+  nu > 0 from z = 1e8, short of where ive/kve return NaN (z > 2^30),
 
       ln I = nu eta - ln(2 pi nu)/2 - ln(w)/2 + ln(1 + E + O),
       ln K = -nu eta + ln(pi/(2 nu))/2 - ln(w)/2 + ln(1 + E - O),
 
   with w = sqrt(1 + (z/nu)^2), eta = w + ln((z/nu)/(1 + w)), and E, O the
   even- and odd-order parts of sum_k u_k(1/w)/nu^k.  All terms through
-  debye.MAX_ORDER are summed: at nu >= 50 they need no stop rule.
+  debye.MAX_ORDER are summed with no stop rule: the k-th term is at most a
+  constant times (t/nu)^k = (nu^2 + z^2)^(-k/2), small at nu >= 50 and, at
+  any order, from z = 1e8 on.
+
+No branch falls back on another, except that K at nu >= 1.5 takes the
+small-z series when kve overflows (tiny z only); any other AMOS failure
+(only nu = 0 past z = 2^30 reaches one) raises ArithmeticError.
 
 _uniform_series gives (w, E, O), also for the Robin series
 a_k = v_k + (alpha/beta) t u_{k-1}; eta follows from w through
@@ -56,6 +63,7 @@ _LOG_PI_OVER_2 = math.log(math.pi / 2.0)
 # Branch boundaries; the overlap-agreement tests pin these down.
 _SERIES_MAX_Z = 30.0
 _DEBYE_MIN_NU = 50.0
+_UNIFORM_MIN_Z = 1e8
 _CANCEL_DIGITS = 6.0
 
 
@@ -143,6 +151,18 @@ def _log_k_debye(nu: float, z: float) -> float:
         - 0.5 * math.log(w) + math.log1p(even - odd)
 
 
+def _uniform(nu: float, z: float) -> bool:
+    """Whether the uniform branch answers: nu >= 50, or nu > 0 and z >= 1e8."""
+    return nu >= _DEBYE_MIN_NU or (nu > 0.0 and z >= _UNIFORM_MIN_Z)
+
+
+def _log_amos(v: float, nu: float, z: float) -> float:
+    """ln of a scaled AMOS value, or ArithmeticError if AMOS failed."""
+    if not 0.0 < v < math.inf:
+        raise ArithmeticError(f"AMOS evaluation failed for nu={nu}, z={z} (got {v})")
+    return math.log(v)
+
+
 def log_bessel_i(nu: float, z: float) -> float:
     """ln I_nu(z) for nu >= 0, z > 0."""
     _check_args(nu, z)
@@ -150,31 +170,22 @@ def log_bessel_i(nu: float, z: float) -> float:
     # the z^2 <= 100 (nu+1) window keeps its internal sum below e^25.
     if z <= _SERIES_MAX_Z or z * z <= 100.0 * (nu + 1.0):
         return _log_i_series(nu, z)
-    if nu >= _DEBYE_MIN_NU:
+    if _uniform(nu, z):
         return _log_i_debye(nu, z)
-    v = _sp.ive(nu, z)
-    if v <= 0.0 or math.isinf(v) or math.isnan(v):
-        return _log_i_series(nu, z)
-    return math.log(v) + z
+    return _log_amos(_sp.ive(nu, z), nu, z) + z
 
 
 def log_bessel_k(nu: float, z: float) -> float:
     """ln K_nu(z) for nu >= 0, z > 0."""
     _check_args(nu, z)
-    if nu >= _DEBYE_MIN_NU:
+    if _uniform(nu, z):
         return _log_k_debye(nu, z)
     if nu >= 2.0 and z * z <= 4e-5 * (nu - 1.0):
         return _log_k_smallz(nu, z)
     v = _sp.kve(nu, z)
-    if math.isinf(v) or math.isnan(v) or v <= 0.0:
-        if nu >= 1.5:
-            return _log_k_smallz(nu, z)
-        raise ArithmeticError(f"K evaluation failed for nu={nu}, z={z}")
-    return math.log(v) - z
-
-
-def _log_bessel(kind: str, nu: float, z: float) -> float:
-    return log_bessel_i(nu, z) if kind == "I" else log_bessel_k(nu, z)
+    if math.isinf(v) and nu >= 1.5:  # overflow: tiny z only
+        return _log_k_smallz(nu, z)
+    return _log_amos(v, nu, z) - z
 
 
 def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> SignedLog:
@@ -209,9 +220,7 @@ def robin_combination(
         raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
     if alpha == 0.0 and beta == 0.0:
         raise ValueError("(alpha, beta) must not both vanish")
-    _check_args(nu, z)
-
-    lb0 = _log_bessel(kind, nu, z)
+    lb0 = log_bessel_i(nu, z) if kind == "I" else log_bessel_k(nu, z)
     if beta == 0.0:
         c, t = alpha, 0.0
     elif kind == "I":

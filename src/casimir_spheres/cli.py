@@ -6,8 +6,9 @@ sorted deterministically, so identical configs produce byte-identical output
 regardless of the worker count.
 
 Exit codes: 0 success; 1 configuration error (an unknown flag or config-file
-key, a value the CLI or the library rejects, or a config, golden or output
-file that cannot be opened), reported as one "configuration error:" line on
+key, a value the CLI or the library rejects, a config, golden or output file
+that cannot be opened, or a golden file that is not a result file), found
+before anything is computed and reported as one "configuration error:" line on
 stderr; 2 numerical non-convergence (partial rows are still written, marked
 in the status column); 3 golden-file mismatch beyond stored tolerances.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -28,7 +30,8 @@ from . import __version__
 from .asymptotics import (_channel_weight, high_T_expansion, pfa_energy,
                           zero_T_expansion)
 from .errors import NonConvergenceError, OutOfRegimeError
-from .exact import force as force_fn, free_energy, zero_T_energy
+# zero_T_energy stays bound here: perfbench wraps every binding of it.
+from .exact import _energy, force as force_fn, zero_T_energy  # noqa: F401
 from .geometry import Geometry, TruncationPolicy
 from .modes import BoundaryPair, Channel
 from .selftest import fit_mixed_log_reading, run_selftest
@@ -204,12 +207,6 @@ def _result_row(dim, geom, eps, temp, bc, channel, method, energy, frc, l_used,
                                     l_used, p_used, err, status)))
 
 
-def _exact(geom, bc, ch, temp, policy):
-    """The exact energy: the vacuum energy at T = 0, the free energy above."""
-    return (zero_T_energy(geom, bc, ch, policy) if temp == 0.0
-            else free_energy(geom, bc, ch, temp, policy))
-
-
 def _compute_point(cfg: RunConfig, point) -> list[dict]:
     """All rows for one (dim, eps, T, bc) grid point; runs in a worker."""
     dim, eps, temp, bc_str = point
@@ -229,7 +226,7 @@ def _compute_point(cfg: RunConfig, point) -> list[dict]:
         label = "total" if ch is None else ch.value
         # exact
         try:
-            res = _exact(geom, bc, ch, temp, policy)
+            res = _energy(geom, bc, ch, temp, policy)
         except NonConvergenceError as exc:
             row(label, "exact", exc.partial if exc.partial is not None
                 else math.nan, exc.l_used, exc.p_used, status="failed")
@@ -244,17 +241,13 @@ def _compute_point(cfg: RunConfig, point) -> list[dict]:
             row(label, "exact", res.value, res.l_used, res.p_used,
                 res.error_estimate, frc, status)
         # pfa
-        w = _channel_weight(dim, ch)
-        pfa = w * pfa_energy(geom, bc, regime, temp)
-        row(label, "pfa", pfa)
+        row(label, "pfa", _channel_weight(dim, ch) * pfa_energy(geom, bc, regime, temp))
         # expansion
         try:
             if temp == 0.0:
-                ser = zero_T_expansion(dim, bc, ch)
-                val = ser.evaluate(eps) / geom.a1
+                val = zero_T_expansion(dim, bc, ch).evaluate(eps) / geom.a1
             else:
-                ser = high_T_expansion(dim, bc, ch)
-                val = ser.evaluate(eps) * temp
+                val = high_T_expansion(dim, bc, ch).evaluate(eps) * temp
             row(label, "expansion", val)
         except OutOfRegimeError:
             pass  # expansions refuse eps > 0.5; no row
@@ -287,14 +280,14 @@ def convergence_report(cfg: RunConfig) -> list[dict]:
     for dim, eps, temp, bc_str in _grid(cfg):
         bc = BoundaryPair.from_string(bc_str)
         geom = Geometry.from_eps(eps, dim)
-        res = _exact(geom, bc, None, temp, cfg.policy)
+        res = _energy(geom, bc, None, temp, cfg.policy)
         ladder = sorted({max(1, int(res.l_used * f)) for f in
                          (0.25, 0.5, 0.75, 1.0, 1.5)})
         for lcap in ladder:
             pcap = max(1, res.p_used * 2) if temp > 0 else cfg.p_max_hard
             pol = dataclasses.replace(cfg.policy, l_max_hard=lcap, p_max_hard=pcap)
             try:
-                r = _exact(geom, bc, None, temp, pol)
+                r = _energy(geom, bc, None, temp, pol)
                 energy, err, status = r.value, r.error_estimate, "ok"
                 l_used, p_used = r.l_used, r.p_used
             except NonConvergenceError as exc:
@@ -343,30 +336,41 @@ def render_json(cfg: RunConfig, rows: list[dict]) -> str:
 
 
 def parse_output(text: str) -> list[dict]:
-    """Read back rows from either output format (used by --golden)."""
+    """Read back rows from either output format (used by --golden).
+
+    ConfigError unless the CSV header and row lengths are RESULT_FIELDS', or
+    the JSON has a ``rows`` list of rows that carry every field.
+    """
     text = text.lstrip()
     if text.startswith("{"):
-        return json.loads(text)["rows"]
-    rows = []
-    header = None
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        vals = line.split(",")
-        row = dict(zip(header, vals))
+        rows = json.loads(text).get("rows")
+        if isinstance(rows, list) and all(
+                isinstance(r, dict) and r.keys() >= set(RESULT_FIELDS) for r in rows):
+            return rows
+        raise ConfigError("not a result file: JSON needs a 'rows' list of result rows")
+    lines = [line.split(",") for line in text.splitlines()
+             if line and not line.startswith("#")]
+    if not lines or tuple(lines[0]) != RESULT_FIELDS \
+            or any(len(vals) != len(RESULT_FIELDS) for vals in lines[1:]):
+        raise ConfigError(f"not a result file: CSV needs the header {','.join(RESULT_FIELDS)}"
+                          f" and rows of {len(RESULT_FIELDS)} values")
+    rows = [dict(zip(RESULT_FIELDS, vals)) for vals in lines[1:]]
+    for row in rows:
         for key in ("energy", "error_estimate", "force", "eps", "T", "a1", "a2"):
-            if key in row:
-                row[key] = float(row[key]) if row[key] else None
-        rows.append(row)
+            row[key] = float(row[key]) if row[key] else None
     return rows
 
 
-def compare_golden(rows: list[dict], golden_path: str, rel_tol: float) -> list[str]:
-    with open(golden_path, encoding="utf-8") as fh:
-        stored = parse_output(fh.read())
+def _read_rows(path: str) -> list[dict]:
+    """The rows of a stored result file; ConfigError if it holds none."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse_output(fh.read())
+        except ValueError as exc:  # ConfigError, undecodable text, bad JSON or numbers
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _drift(rows: list[dict], stored: list[dict], rel_tol: float) -> list[str]:
     key = lambda r: (str(r["D"]), f"{float(r['eps']):.12g}", f"{float(r['T']):.12g}",
                      r["bc_inner"], r["bc_outer"], r["channel"], r["method"])
     mine = {key(r): r for r in rows}
@@ -389,38 +393,33 @@ def compare_golden(rows: list[dict], golden_path: str, rel_tol: float) -> list[s
     return problems
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    if cfg.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def compare_golden(rows: list[dict], golden_path: str, rel_tol: float) -> list[str]:
+    """One message per row of the result file ``golden_path`` that ``rows`` miss or drift from."""
+    return _drift(rows, _read_rows(golden_path), rel_tol)
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.mode == "selftest":
-        results = run_selftest()
-        report = fit_mixed_log_reading()
-        lines = ["casimir-spheres selftest", "-" * 64]
-        for r in results:
-            lines.append(f"{'PASS' if r.passed else 'FAIL':4}  {r.name}: {r.detail}")
-        lines.append("-" * 64)
-        lines.append("mixed D=3 classical log-term fit report:")
-        lines.append(json.dumps(report, indent=1, sort_keys=True))
-        _write(cfg, "\n".join(lines) + "\n")
-        return 0 if all(r.passed for r in results) else 2
-    rows = convergence_report(cfg) if cfg.mode == "convergence" else _run_grid(cfg)
-    text = render_csv(cfg, rows) if cfg.fmt == "csv" else render_json(cfg, rows)
-    _write(cfg, text)
-    if cfg.golden:
-        problems = compare_golden(rows, cfg.golden, cfg.rel_tol)
-        if problems:
-            for p in problems:
-                print(f"golden mismatch: {p}", file=sys.stderr)
-            return 3
-    if any(r["status"] == "failed" for r in rows):
-        return 2
-    return 0
+    # Files first: a bad --golden or --out is found before anything is computed.
+    stored = _read_rows(cfg.golden) if cfg.golden else []
+    with (contextlib.nullcontext(sys.stdout) if cfg.out == "-"
+          else open(cfg.out, "w", encoding="utf-8")) as out:
+        if cfg.mode == "selftest":
+            results = run_selftest()
+            lines = ["casimir-spheres selftest", "-" * 64]
+            lines += [f"{'PASS' if r.passed else 'FAIL':4}  {r.name}: {r.detail}"
+                      for r in results]
+            lines += ["-" * 64, "mixed D=3 classical log-term fit report:",
+                      json.dumps(fit_mixed_log_reading(), indent=1, sort_keys=True)]
+            out.write("\n".join(lines) + "\n")
+            return 0 if all(r.passed for r in results) else 2
+        rows = convergence_report(cfg) if cfg.mode == "convergence" else _run_grid(cfg)
+        out.write(render_csv(cfg, rows) if cfg.fmt == "csv" else render_json(cfg, rows))
+    problems = _drift(rows, stored, cfg.rel_tol)
+    for p in problems:
+        print(f"golden mismatch: {p}", file=sys.stderr)
+    if problems:
+        return 3
+    return 2 if any(r["status"] == "failed" for r in rows) else 0
 
 
 def main(argv=None) -> int:

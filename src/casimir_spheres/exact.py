@@ -487,6 +487,14 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     return res
 
 
+def _energy(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+            T: float, policy: TruncationPolicy) -> EnergyResult:
+    """The exact energy: the vacuum energy at T = 0, the free energy above."""
+    if T == 0.0:
+        return zero_T_energy(geometry, bc_pair, channel, policy)
+    return free_energy(geometry, bc_pair, channel, T, policy)
+
+
 def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,
           policy: TruncationPolicy = TruncationPolicy()) -> float:
     """-dE/dd at fixed a1: negative = attractive.
@@ -499,12 +507,7 @@ def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,
     d0 = geometry.d
     h = max(1e-4 * d0, 1e-6 * geometry.a1)
 
-    def energy_at(dd: float) -> float:
-        g = geometry.widened(dd)
-        if T == 0.0:
-            return zero_T_energy(g, bc_pair, None, policy).value
-        return free_energy(g, bc_pair, None, T, policy).value
-
+    energy_at = lambda dd: _energy(geometry.widened(dd), bc_pair, None, T, policy).value
     d_coarse = (energy_at(d0 + h) - energy_at(d0 - h)) / (2.0 * h)
     d_fine = (energy_at(d0 + 0.5 * h) - energy_at(d0 - 0.5 * h)) / h
     deriv = (4.0 * d_fine - d_coarse) / 3.0

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import (assemble_zero_T_expansion, high_T_expansion,
-                          pfa_energy, zero_T_expansion)
+from .asymptotics import (_channel_weight, assemble_zero_T_expansion,
+                          high_T_expansion, pfa_energy, zero_T_expansion)
 from .bessel import robin_combination
 from .debye import debye_d, debye_m, debye_u
 from .exact import classical_term, free_energy, zero_T_energy
@@ -114,8 +114,7 @@ def _check_prefactors() -> CheckResult:
         g = Geometry.from_eps(0.1, dim)
         for bp in _PAIRS:
             for ch in (Channel.TE, Channel.TM, None):
-                w = ((dim - 2) / (dim - 1) if ch is Channel.TE
-                     else 1 / (dim - 1) if ch is Channel.TM else 1.0)
+                w = _channel_weight(dim, ch)
                 zt = zero_T_expansion(dim, bp, ch)
                 worst = max(worst, abs(zt.pfa_value(0.1)
                                        / (w * pfa_energy(g, bp, "zeroT")) - 1.0))
@@ -205,7 +204,7 @@ def _check_log_reading() -> CheckResult:
     return CheckResult("mixed D=3 log-term reading fit", ok, detail)
 
 
-def run_selftest(fast: bool = False) -> list[CheckResult]:
+def run_selftest() -> list[CheckResult]:
     """Run the invariant suites; returns one row per check."""
     checks = [
         _check_recursion_ground_truth,
@@ -215,9 +214,8 @@ def run_selftest(fast: bool = False) -> list[CheckResult]:
         _check_prefactors,
         _check_assembly,
         _check_log_reading,
+        _check_signs,
     ]
-    if not fast:
-        checks.append(_check_signs)
     out = []
     for fn in checks:
         try:

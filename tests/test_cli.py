@@ -57,13 +57,33 @@ def test_config_errors_exit_1(capsys):
     ["--mode", "bogus"], ["--format", "xml"], ["--not-a-flag"],
     ["--config", "missing.cfg"],
     ["--golden", "missing.csv", "--mode", "sweep", "--eps", "0.5"] + FAST_ARGS,
+    ["--golden", "not-results.csv", "--mode", "sweep", "--eps", "0.5"] + FAST_ARGS,
     ["--out", "no-such-dir/out.csv", "--mode", "sweep", "--eps", "0.5"] + FAST_ARGS,
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_bad_input_is_one_config_error_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-results.csv").write_text("a,b\n1,2\n")
+
+    def no_compute(cfg, point):  # every bad input is found before the grid
+        raise AssertionError("a grid point was computed")
+    monkeypatch.setattr(cli, "_compute_point", no_compute)
     code, _, err = run_cli(capsys, argv)  # an uncaught exception fails the test
     assert code == 1
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n",
+    ",".join(RESULT_FIELDS) + "\n3,1.0\n",
+    '{"rows": [{"D": 3}]}',
+    '{"metadata": {}}',
+    '{"rows": ',
+])
+def test_non_result_golden_is_config_error(text, tmp_path):
+    golden = tmp_path / "g.txt"
+    golden.write_text(text)
+    with pytest.raises(ConfigError, match="g.txt"):
+        compare_golden([], str(golden), 1e-9)
 
 
 def test_unknown_config_key_names_key_and_line(tmp_path, capsys):
@@ -208,6 +228,13 @@ def test_golden_roundtrip_and_mismatch(tmp_path, capsys):
     golden.write_text(corrupted)
     code3, _, err = run_cli(capsys, argv + ["--golden", str(golden)])
     assert code3 == 3 and "golden mismatch" in err
+
+
+def test_json_golden_roundtrip(tmp_path, capsys):
+    argv = ["--mode", "sweep", "--eps", "0.3", "--format", "json"] + FAST_ARGS
+    golden = tmp_path / "golden.json"
+    assert run_cli(capsys, argv + ["--out", str(golden)])[0] == 0
+    assert run_cli(capsys, argv + ["--golden", str(golden)])[0] == 0
 
 
 def test_nonconvergence_exit_2(capsys):

@@ -396,3 +396,14 @@ def test_force_matches_pfa_scale_at_small_gap():
 def test_force_rejects_negative_temperature():
     with pytest.raises(ValueError):
         force(Geometry(1.0, 1.5, 3), PCPC, -1.0)
+
+
+def test_free_energy_at_large_eps_is_classical():
+    # At eps = 1e8, T = 20 the Robin combinations reach z ~ 1.3e10, past the
+    # range of scipy's ive/kve; every Matsubara term underflows to 0, so the
+    # free energy is T times the classical term.
+    g = Geometry.from_eps(1e8, 3)
+    pol = TruncationPolicy(rel_tol=1e-9)
+    res = free_energy(g, PCIP, None, 20.0, pol)
+    assert res.value == pytest.approx(20.0 * classical_term(g, PCIP, None, pol).value,
+                                      rel=1e-12)

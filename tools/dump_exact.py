@@ -7,10 +7,11 @@ float.hex) or the exception type and its ``partial``, ``l_used`` and
 tables behind the series: every term of the small-gap expansions (D 3..16,
 four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
 polynomials (coefficients as Fraction text, values at l = 1..200 as
-float.hex, scalar and array evaluation), and the order-one Debye polynomials
-at the library's Robin ratios.  Last come the exit code and full stdout of
-a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with forces, a
-convergence ladder).  Two checkouts give byte-identical dumps exactly when a
+float.hex, scalar and array evaluation), the order-one Debye polynomials
+at the library's Robin ratios, and ln I and ln K across the z = 1e8 seam
+of the uniform branch, up to z = 1e15.  Last come the exit code and full
+stdout of a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with
+forces, a convergence ladder).  Two checkouts give byte-identical dumps exactly when a
 change leaves the numbers and the CLI output untouched:
 
     PYTHONPATH=src python3 tools/dump_exact.py > new.txt
@@ -25,9 +26,9 @@ which prints the worst |new value - old value| / (old error_estimate) over
 the calls and their per-channel splits, and exits non-zero if any call
 changes l_used, p_used, its warnings or its failure type, if any value moves
 by at least the call's error_estimate, if a call of OLD is missing from NEW,
-if any table record differs, or if a CLI run of OLD is missing from NEW or
-not byte-identical there.  Fields and CLI runs that OLD does not have are not
-compared.
+if a table record of OLD is missing from NEW or differs there, or if a CLI
+run of OLD is missing from NEW or not byte-identical there.  Fields, tables
+and CLI runs that OLD does not have are not compared.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from casimir_spheres import cli
+from casimir_spheres import cli, log_bessel_i, log_bessel_k
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
                              TruncationPolicy, assemble_zero_T_expansion,
                              classical_term, debye_d, debye_m,
@@ -53,6 +54,10 @@ from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceErro
 
 T_FREE = 0.5
 T_THERMAL = 0.1
+# Orders on both sides of the branch seams, and z from AMOS's range across
+# z = 1e8, where every order > 0 takes the uniform branch, to 1e15.
+LARGE_Z_NU = (0.5, 1.5, 10.5, 49.5)
+LARGE_Z = (3e4, 1e6, 9.9e7, 1e8, 1.01e8, 1.2e9, 1.26e10, 1e12, 1e15)
 
 
 def _hex(x):
@@ -177,11 +182,23 @@ def tables():
                     | {Fraction(dim - 2, 2) for dim in range(3, 17)})
     for a in alphas:
         yield {"debye": f"M_1 alpha={a}", "coefficients": _fractions(debye_m(1, a))}
+    for nu in LARGE_Z_NU:
+        yield {"bessel": f"large z nu={nu}", "z": [_hex(z) for z in LARGE_Z],
+               "ln_i": [_hex(log_bessel_i(nu, z)) for z in LARGE_Z],
+               "ln_k": [_hex(log_bessel_k(nu, z)) for z in LARGE_Z]}
+
+
+TABLE_KINDS = ("series", "degeneracy", "debye", "bessel")
+
+
+def _table_key(rec):
+    kind = next(k for k in TABLE_KINDS if k in rec)
+    return kind, rec[kind]
 
 
 def _load(path):
-    """(call records by label, CLI records by label, table records in order)."""
-    calls_by_label, cli_by_label, table_recs = {}, {}, []
+    """(call, CLI and table records, each by label)."""
+    calls_by_label, cli_by_label, tables_by_label = {}, {}, {}
     with open(path) as fh:
         for line in fh:
             rec = json.loads(line)
@@ -190,8 +207,8 @@ def _load(path):
             elif "cli" in rec:
                 cli_by_label[rec["cli"]] = rec
             else:
-                table_recs.append(rec)
-    return calls_by_label, cli_by_label, table_recs
+                tables_by_label[_table_key(rec)] = rec
+    return calls_by_label, cli_by_label, tables_by_label
 
 
 def _call_problems(old, new):
@@ -244,9 +261,13 @@ def compare(old_path, new_path) -> int:
             failed = True
     for label in sorted(new_cli.keys() - old_cli.keys()):
         print(f"new cli run {label}")
-    if old_tables != new_tables:
-        print(f"FAIL table records differ ({len(old_tables)} -> {len(new_tables)} records)")
-        failed = True
+    for label, old in old_tables.items():
+        if new_tables.get(label) != old:
+            print(f"FAIL table {' '.join(label)}: " + ("differs" if label in new_tables
+                                                       else "missing from NEW"))
+            failed = True
+    for label in sorted(new_tables.keys() - old_tables.keys()):
+        print(f"new table {' '.join(label)}")
     print(f"worst |delta value| / error_estimate: {worst:.3g}"
           + (f" ({worst_label})" if worst_label else ""))
     return 1 if failed else 0

@@ -14,8 +14,8 @@ carried as ln |value| plus a sign.  Two quick demonstrations:
 
 import math
 
-from casimir_spheres import (debye_d, debye_m, debye_u, log_bessel_i,
-                             log_bessel_k, robin_combination)
+from casimir_spheres import (debye_m, debye_u, log_bessel_i, log_bessel_k,
+                             robin_combination)
 
 print(__doc__)
 
@@ -40,8 +40,8 @@ for nu in (0.5, 5.0, 50.5, 500.0):
 print("\nExact Debye recursion output (rational coefficients, power of t):")
 print("  u_1      =", dict(enumerate(debye_u(1).coefficients)))
 print("  u_2      =", dict(enumerate(debye_u(2).coefficients)))
-print("  D_1      =", dict(enumerate(debye_d(1).coefficients)))
-print("  M_1(1/2) =", dict(enumerate(debye_m(1, 0.5).coefficients)))
+print("  D_1      =", dict(enumerate(debye_u(1).coefficients)))
+print("  M_1(1/2) =", dict(enumerate(debye_m(0.5).coefficients)))
 
 print("\nUniform asymptotics vs ascending series at nu = 300:")
 from casimir_spheres.bessel import _log_i_debye, _log_i_series

@@ -11,14 +11,13 @@ from .asymptotics import (ExpansionSeries, ExpansionTerm,
                           assemble_zero_T_expansion, exact_thermal_force_leading,
                           expansion_coefficient_functions, high_T_expansion,
                           parallel_plate_density, pfa_energy, pfa_thermal_force,
-                          sphere_area, thermal_leading, zero_T_expansion)
+                          riemann_zeta, sphere_area, thermal_leading,
+                          zero_T_expansion)
 from .bessel import log_bessel_i, log_bessel_k, robin_combination
-from .debye import (RationalPolynomial, debye_d, debye_eta, debye_eta_prime,
-                    debye_m, debye_t, debye_u, debye_v)
+from .debye import RationalPolynomial, debye_m, debye_u, debye_v
 from .errors import NonConvergenceError, OutOfRegimeError, PrecisionLossError
 from .exact import (classical_term, f_l, force, free_energy, m_ratio,
                     thermal_correction, zero_T_energy)
-from .gammazeta import gamma_fn, lambda_integral, log_gamma, riemann_zeta
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryCondition, BoundaryPair, Channel,
                     DegeneracyPolynomial, bc_coefficients, degeneracy,
@@ -33,12 +32,10 @@ __all__ = [
     "NonConvergenceError", "OutOfRegimeError", "PrecisionLossError",
     "RationalPolynomial", "SignedLog", "TruncationPolicy",
     "assemble_zero_T_expansion", "bc_coefficients", "classical_term",
-    "debye_d", "debye_eta", "debye_eta_prime", "debye_m", "debye_t",
-    "debye_u", "debye_v", "degeneracy", "degeneracy_polynomial",
+    "debye_m", "debye_u", "debye_v", "degeneracy", "degeneracy_polynomial",
     "exact_thermal_force_leading", "expansion_coefficient_functions",
-    "f_l", "force", "free_energy", "gamma_fn", "high_T_expansion",
-    "lambda_integral", "log_bessel_i", "log_bessel_k", "log_gamma",
-    "m_ratio", "nu", "parallel_plate_density", "pfa_energy",
+    "f_l", "force", "free_energy", "high_T_expansion", "log_bessel_i",
+    "log_bessel_k", "m_ratio", "nu", "parallel_plate_density", "pfa_energy",
     "pfa_thermal_force", "riemann_zeta", "robin_combination",
     "sphere_area", "thermal_correction", "thermal_leading",
     "zero_T_energy", "zero_T_expansion",

@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .debye import debye_d, debye_m
+from scipy import special as _sp
+
+from .debye import debye_m, debye_u
 from .errors import OutOfRegimeError
-from .gammazeta import riemann_zeta
 from .geometry import Geometry
 from .modes import (BoundaryCondition, BoundaryPair, Channel, bc_coefficients,
                     degeneracy_polynomial)
@@ -45,11 +46,19 @@ __all__ = [
     "thermal_leading",
     "pfa_thermal_force",
     "exact_thermal_force_leading",
+    "riemann_zeta",
 ]
 
 Regime = Literal["zeroT", "highT"]
 
 _PC = BoundaryCondition.PERFECTLY_CONDUCTING
+
+
+def riemann_zeta(s: float) -> float:
+    """Riemann zeta on the real axis for s > 1."""
+    if not s > 1.0:
+        raise ValueError(f"riemann_zeta requires s > 1, got {s}")
+    return float(_sp.zeta(s, 1))
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,6 @@ class ExpansionSeries:
     prefactor: float
     leading_power: int
     terms: tuple[ExpansionTerm, ...]
-    regime: Regime
-    dim: int
-    bc_pair: BoundaryPair
-    channel: Optional[Channel]
 
     def relative_value(self, eps: float) -> float:
         self._check_eps(eps)
@@ -319,8 +324,7 @@ def _expansion(regime: Regime, dim: int, bc_pair: BoundaryPair,
              else channel_terms(dim, bc_pair, channel))
     return ExpansionSeries(
         prefactor=_pfa_coefficient(dim, bc_pair, regime, channel),
-        leading_power=-(dim - 1) if regime == "highT" else -dim, terms=tuple(terms),
-        regime=regime, dim=dim, bc_pair=bc_pair, channel=channel)
+        leading_power=-(dim - 1) if regime == "highT" else -dim, terms=tuple(terms))
 
 
 def high_T_expansion(dim: int, bc_pair: BoundaryPair,
@@ -381,7 +385,7 @@ def _coef_g_bracket(z: float, delta: float, kappa: float) -> float:
 def _order_one_polynomial(channel: Channel, bc: BoundaryCondition, dim: int):
     """First Debye-log polynomial attached to one sphere (Tables of P_1/Q_1)."""
     alpha, beta = bc_coefficients(channel, bc, dim)
-    return debye_m(1, alpha / beta) if beta else debye_d(1)
+    return debye_m(alpha / beta) if beta else debye_u(1)
 
 
 def _series_parameters(dim: int, bc_pair: BoundaryPair, channel: Channel):
@@ -443,8 +447,7 @@ def assemble_zero_T_expansion(dim: int, bc_pair: BoundaryPair,
         rel2 += 8.0 / ((dim - 1.0) * (dim - 2.0)) * (z_g / z_lead) * g_br
     terms = (ExpansionTerm(0, False, 1.0), ExpansionTerm(1, False, rel1),
              ExpansionTerm(2, False, rel2))
-    return ExpansionSeries(prefactor=lead, leading_power=-dim, terms=terms,
-                           regime="zeroT", dim=dim, bc_pair=bc_pair, channel=channel)
+    return ExpansionSeries(prefactor=lead, leading_power=-dim, terms=terms)
 
 
 # --- low-temperature thermal corrections ------------------------------------

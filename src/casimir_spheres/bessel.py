@@ -202,8 +202,8 @@ def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> 
             b1 = mp.besselk(nu_ + 1, z_)
             comb = alpha * b0 + beta * (nu_ * b0 - z_ * b1)
         if comb == 0:
-            return SignedLog.zero()
-        return SignedLog.from_log(int(mp.sign(comb)), float(mp.log(abs(comb))))
+            return SignedLog(0, -math.inf)
+        return SignedLog(int(mp.sign(comb)), float(mp.log(abs(comb))))
 
 
 def robin_combination(

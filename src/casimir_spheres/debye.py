@@ -15,7 +15,8 @@ those sums, the closed forms
 
     D_1 = u_1,   M_{1,alpha} = v_1 + alpha t,
 
-for a Dirichlet and a Robin sphere.  All recursion steps run in exact
+for a Dirichlet sphere (``debye_u(1)`` itself) and a Robin sphere
+(``debye_m``).  All recursion steps run in exact
 rational arithmetic; floats only enter when a polynomial is evaluated.
 """
 
@@ -30,11 +31,7 @@ __all__ = [
     "RationalPolynomial",
     "debye_u",
     "debye_v",
-    "debye_d",
     "debye_m",
-    "debye_eta",
-    "debye_t",
-    "debye_eta_prime",
 ]
 
 # Highest order of the u_k/v_k tables; the Bessel series sums through it.
@@ -178,43 +175,11 @@ def debye_v(k: int) -> RationalPolynomial:
     return _v(k)
 
 
-def _check_log_order(k: int) -> None:
-    if not isinstance(k, int) or k not in (0, 1):
-        raise ValueError(f"log-series order must be 0 or 1, got {k!r}")
-
-
-def debye_d(k: int) -> RationalPolynomial:
-    """Order-k term of log(1 + sum_k u_k/nu^k) (Dirichlet sphere), k <= 1."""
-    _check_log_order(k)
-    return _u(1) if k else RationalPolynomial([])
-
-
-def debye_m(k: int, alpha) -> RationalPolynomial:
-    """Order-k term of the log of the Robin series with ratio alpha, k <= 1."""
-    _check_log_order(k)
-    return _v(1) + RationalPolynomial([0, alpha]) if k else RationalPolynomial([])
+def debye_m(alpha) -> RationalPolynomial:
+    """Order-one term M_{1,alpha} = v_1 + alpha t of the log of the Robin series."""
+    return _v(1) + RationalPolynomial([0, alpha])
 
 
 def eta_from_w(z: float, w: float) -> float:
     """eta(z) given w = sqrt(1+z^2)."""
     return w + math.log(z / (1.0 + w))
-
-
-def debye_eta(z: float) -> float:
-    """eta(z) = sqrt(1+z^2) + log(z/(1+sqrt(1+z^2))), strictly increasing."""
-    if not z > 0.0:
-        raise ValueError(f"eta requires z > 0, got {z}")
-    return eta_from_w(z, math.hypot(1.0, z))
-
-def debye_t(z: float) -> float:
-    """t(z) = 1/sqrt(1+z^2), in (0, 1)."""
-    if not z > 0.0:
-        raise ValueError(f"t requires z > 0, got {z}")
-    return 1.0 / math.hypot(1.0, z)
-
-
-def debye_eta_prime(z: float) -> float:
-    """eta'(z) = sqrt(1+z^2)/z."""
-    if not z > 0.0:
-        raise ValueError(f"eta' requires z > 0, got {z}")
-    return math.hypot(1.0, z) / z

@@ -35,7 +35,6 @@ from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
                     nu as nu_of)
-from .signedlog import SignedLog
 
 __all__ = [
     "m_ratio",
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _CONSECUTIVE_SMALL = 5  # l-blocks below tolerance required before stopping
+# ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
+# (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
+_LOG1MEXP_SWITCH = -0.693
 
 
 class _Kahan:
@@ -147,7 +149,7 @@ def _f0(nu, pref, homog: bool, alpha_log: float):
     """f_l(0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array."""
     s = -2.0 * nu * alpha_log
     if homog:
-        return np.log(-np.expm1(s))
+        return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
     return np.log1p(-pref * np.exp(s))
 
 
@@ -163,7 +165,7 @@ def _log_one_minus(sign: int, log: float) -> float:
     if log >= 0.0:
         raise PrecisionLossError(
             f"reflection coefficient reached 1 within float resolution (log={log})")
-    if log > -0.693:
+    if log > _LOG1MEXP_SWITCH:
         one_minus = -math.expm1(log)
         if one_minus < 1e-12:
             raise PrecisionLossError(
@@ -178,7 +180,8 @@ def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     if not 0.0 < xi < math.inf:
         raise ValueError(f"xi must be positive and finite, got {xi}")
     ctx = _LTerm(geometry, bc_pair, channel, l)
-    return SignedLog.from_log(*ctx.log_m(geometry.a1 * xi)).value()
+    sign, log = ctx.log_m(geometry.a1 * xi)
+    return sign * math.exp(log)
 
 
 def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,

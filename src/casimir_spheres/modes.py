@@ -69,9 +69,6 @@ class BoundaryPair:
     def is_mixed(self) -> bool:
         return self.inner != self.outer
 
-    def swapped(self) -> "BoundaryPair":
-        return BoundaryPair(self.outer, self.inner)
-
     @classmethod
     def from_string(cls, s: str) -> "BoundaryPair":
         parts = [p for p in s.replace(";", ",").split(",") if p.strip()]
@@ -144,12 +141,11 @@ def degeneracy(channel: Channel, l: int, dim: int) -> int:
 class DegeneracyPolynomial(RationalPolynomial):
     """Exact expansion of the degeneracy in powers of nu = l + (D-2)/2."""
 
-    __slots__ = ("dim", "channel")
+    __slots__ = ("dim",)
 
-    def __init__(self, poly: RationalPolynomial, dim: int, channel: Channel):
+    def __init__(self, poly: RationalPolynomial, dim: int):
         super().__init__(poly.coefficients)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "channel", channel)
 
     def evaluate_exact(self, l: int) -> Fraction:
         x = nu_exact(l, self.dim)
@@ -183,4 +179,4 @@ def degeneracy_polynomial(channel: Channel, dim: int) -> DegeneracyPolynomial:
         for i in range(2, dim - 3):
             p = p * l_plus(i)
         p = p.scale(Fraction(1, math.factorial(dim - 3)))
-    return DegeneracyPolynomial(p, dim, channel)
+    return DegeneracyPolynomial(p, dim)

@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import (_channel_weight, assemble_zero_T_expansion,
                           high_T_expansion, pfa_energy, zero_T_expansion)
 from .bessel import robin_combination
-from .debye import debye_d, debye_m, debye_u
+from .debye import debye_m, debye_u
 from .exact import classical_term, free_energy, zero_T_energy
 from .geometry import Geometry, TruncationPolicy
 from .modes import (BoundaryCondition, BoundaryPair, Channel, degeneracy,
@@ -82,10 +82,10 @@ def _check_overlap() -> CheckResult:
 
 
 def _check_recursion_ground_truth() -> CheckResult:
-    ok = debye_d(1).coefficients == (Fraction(0), Fraction(1, 8), Fraction(0),
+    ok = debye_u(1).coefficients == (Fraction(0), Fraction(1, 8), Fraction(0),
                                      Fraction(-5, 24))
     for alpha in (Fraction(1, 2), Fraction(-3, 7), Fraction(5)):
-        m1 = debye_m(1, alpha)
+        m1 = debye_m(alpha)
         ok = ok and m1.coefficient(1) == alpha - Fraction(3, 8) \
             and m1.coefficient(3) == Fraction(7, 24) and m1.degree == 3
     ok = ok and debye_u(0).coefficients == (Fraction(1),)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 __all__ = ["SignedLog"]
 
-_NEG_INF = float("-inf")
-
 
 @dataclass(frozen=True)
 class SignedLog:
@@ -31,26 +29,7 @@ class SignedLog:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.log != _NEG_INF:
+        if self.sign == 0 and self.log != -math.inf:
             raise ValueError("zero value requires log == -inf")
-        if self.sign != 0 and (math.isnan(self.log) or self.log == _NEG_INF):
+        if self.sign != 0 and (math.isnan(self.log) or self.log == -math.inf):
             raise ValueError("nonzero value requires a finite or +inf log")
-
-    @classmethod
-    def zero(cls) -> "SignedLog":
-        return cls(0, _NEG_INF)
-
-    @classmethod
-    def from_log(cls, sign: int, log: float) -> "SignedLog":
-        if sign == 0:
-            return cls.zero()
-        return cls(1 if sign > 0 else -1, log)
-
-    def value(self) -> float:
-        """Back to a plain float; overflows to +-inf, underflows to 0."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log)
-        except OverflowError:
-            return self.sign * math.inf

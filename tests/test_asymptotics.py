@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              Geometry, OutOfRegimeError, TruncationPolicy,
@@ -11,7 +12,7 @@ from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              parallel_plate_density, pfa_energy,
                              pfa_thermal_force, riemann_zeta, sphere_area,
                              thermal_leading, zero_T_expansion)
-from casimir_spheres.asymptotics import _channel_weight
+from casimir_spheres.asymptotics import _channel_weight, _effective_zeta
 
 PC = BoundaryCondition.PERFECTLY_CONDUCTING
 IP = BoundaryCondition.INFINITELY_PERMEABLE
@@ -20,6 +21,30 @@ PCIP = BoundaryPair(PC, IP)
 IPPC = BoundaryPair(IP, PC)
 IPIP = BoundaryPair(IP, IP)
 ALL = (PCPC, IPIP, PCIP, IPPC)
+
+# zeta(3) by Euler-Maclaurin with 10 correction terms (frozen).
+ZETA3_EULER_MACLAURIN = 1.2020569031595942854
+
+
+def test_zeta_values():
+    assert riemann_zeta(2.0) == pytest.approx(math.pi ** 2 / 6, rel=1e-14)
+    assert riemann_zeta(4.0) == pytest.approx(math.pi ** 4 / 90, rel=1e-14)
+    assert riemann_zeta(3.0) == pytest.approx(ZETA3_EULER_MACLAURIN, rel=1e-13)
+    assert riemann_zeta(60.0) == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(ValueError):
+        riemann_zeta(1.0)
+    with pytest.raises(ValueError):
+        riemann_zeta(0.5)
+
+
+def test_lambda_fermionic_identity():
+    # int_0^inf u^mu / (e^u + 1) du = Gamma(mu+1) (1 - 2^-mu) zeta(mu+1), and
+    # log 2 at mu = 0: the mixed-pair weight of the series
+    for mu in (0, 1, 2, 3, 5):
+        integral, _ = quad(lambda u: u ** mu * math.exp(-u) / (1.0 + math.exp(-u)),
+                           0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert math.gamma(mu + 1) * _effective_zeta(mu, True) == pytest.approx(
+            integral, rel=1e-10)
 
 
 def test_parallel_plate_d3_classic():

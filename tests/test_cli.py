@@ -248,6 +248,17 @@ def test_nonconvergence_exit_2(capsys):
     assert any(r["status"] == "ok" for r in rows)  # pfa rows still emitted
 
 
+def test_large_eps_point_converges(capsys):
+    # Every term is ~ -(a1/a2)^(2 nu): the l = 1 term of both channels gives
+    # E = -T * 3 (1 + eps)^-3 to first order.
+    code, out, _ = run_cli(capsys, ["--mode", "point", "--eps", "1e8", "--temp", "20",
+                                    "--bc", "pc,pc"])
+    assert code == 0
+    exact = parse_output(out)[0]
+    assert exact["status"] == "ok"
+    assert float(exact["energy"]) == pytest.approx(-60.0 / (1.0 + 1e8) ** 3, rel=1e-7)
+
+
 def test_failed_energy_row_reports_completed_counts(capsys):
     code, out, _ = run_cli(capsys, ["--mode", "point", "--eps", "0.1",
                                     "--dim", "3", "--temp", "0", "--bc", "pc,pc",

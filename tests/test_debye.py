@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from casimir_spheres import (RationalPolynomial, debye_d, debye_eta,
-                             debye_eta_prime, debye_m, debye_t, debye_u,
-                             debye_v)
+from casimir_spheres import (BoundaryCondition, Channel, RationalPolynomial,
+                             debye_m, debye_u, debye_v)
+from casimir_spheres.asymptotics import _order_one_polynomial
+from casimir_spheres.debye import eta_from_w
 
 
 def F(a, b=1):
@@ -38,24 +39,17 @@ def test_v1():
 
 
 def test_d1_explicit():
-    assert debye_d(1) == RationalPolynomial([0, F(1, 8), 0, F(-5, 24)])
+    # a TE conducting sphere is Dirichlet (beta = 0): its order-one log is D_1 = u_1
+    pc = BoundaryCondition.PERFECTLY_CONDUCTING
+    for dim in (3, 4, 7):
+        assert _order_one_polynomial(Channel.TE, pc, dim) == RationalPolynomial(
+            [0, F(1, 8), 0, F(-5, 24)])
 
 
 def test_m1_explicit():
     for alpha in (F(1, 2), F(-3, 2), F(0), F(7, 3)):
-        m1 = debye_m(1, alpha)
+        m1 = debye_m(alpha)
         assert m1 == RationalPolynomial([0, alpha - F(3, 8), 0, F(7, 24)])
-
-
-def test_log_polynomials_stop_at_order_one():
-    # only the order-one closed forms are built; order 0 is the empty polynomial
-    assert debye_d(0) == RationalPolynomial([])
-    assert debye_m(0, F(1, 2)) == RationalPolynomial([])
-    for k in (2, 3, -1):
-        with pytest.raises(ValueError):
-            debye_d(k)
-        with pytest.raises(ValueError):
-            debye_m(k, F(1, 2))
 
 
 def test_max_order_gate():
@@ -66,28 +60,24 @@ def test_max_order_gate():
             debye_u(k)
 
 
+def eta(z):
+    return eta_from_w(z, math.hypot(1.0, z))
+
+
 def test_eta_t_values():
-    assert debye_t(math.sqrt(3.0)) == pytest.approx(0.5, rel=1e-15)
-    assert debye_eta(1.0) == pytest.approx(
+    assert eta(1.0) == pytest.approx(
         math.sqrt(2.0) + math.log(1.0 / (1.0 + math.sqrt(2.0))), rel=1e-15)
-    # t -> 1 as z -> 0+
-    assert debye_t(1e-12) == pytest.approx(1.0, abs=1e-15)
-    assert debye_eta_prime(2.0) == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-15)
+    # eta'(z) = sqrt(1 + z^2)/z = 1/(z t), by a central difference
+    for z in (0.1, 2.0, 30.0):
+        h = 1e-5 * z
+        slope = (eta(z + h) - eta(z - h)) / (2.0 * h)
+        assert slope == pytest.approx(math.hypot(1.0, z) / z, rel=1e-8)
 
 
 def test_eta_monotone():
     zs = [10.0 ** e for e in range(-6, 7)]
-    vals = [debye_eta(z) for z in zs]
+    vals = [eta(z) for z in zs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    assert all(0.0 < debye_t(z) < 1.0 for z in zs)
-
-
-def test_domain_errors():
-    for fn in (debye_eta, debye_t, debye_eta_prime):
-        with pytest.raises(ValueError):
-            fn(0.0)
-        with pytest.raises(ValueError):
-            fn(-1.0)
 
 
 def test_polynomial_arithmetic():

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from casimir_spheres import bessel
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              Geometry, NonConvergenceError, PrecisionLossError,
-                             TruncationPolicy, classical_term, degeneracy, f_l, force,
+                             TruncationPolicy, bc_coefficients, classical_term,
+                             degeneracy, f_l, force,
                              free_energy, m_ratio, riemann_zeta,
                              thermal_correction, zero_T_energy,
                              zero_T_expansion)
@@ -188,6 +190,47 @@ def test_classical_mixed_pair_matches_f0_sum(dim, pair, channel):
     direct = 0.5 * math.fsum(degeneracy(channel, l, dim) * f_l(l, g, pair, channel, 0.0)
                              for l in range(1, 400))
     assert res.value == pytest.approx(direct, rel=1e-13)
+
+
+def _classical_mpmath(g, pair, channel):
+    """(1/2) sum_l d_l ln(1 - pref_l (a1/a2)^(2 nu)) at 40 digits, for the float geometry g."""
+    q = lambda x: mp.mpf(x.numerator) / x.denominator
+    total = mp.mpf(0)
+    with mp.workdps(40):
+        x = mp.mpf(g.a1) / mp.mpf(g.a2)
+        for ch in (channel,) if channel else (Channel.TE, Channel.TM):
+            (a1, b1), (a2, b2) = (map(q, bc_coefficients(ch, bc, g.dim))
+                                  for bc in (pair.inner, pair.outer))
+            for l in range(1, 100000):
+                nu = mp.mpf(2 * l + g.dim - 2) / 2
+                pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
+                term = degeneracy(ch, l, g.dim) * mp.log1p(-pref * x ** (2 * nu)) / 2
+                total += term
+                if abs(term) < mp.mpf(10) ** -30 * abs(total):
+                    break
+        return float(total)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 16])
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_classical_within_error_estimate_of_mpmath(dim, eps):
+    # f_l(0) = ln(1 - e^s) of a homogeneous pair keeps full relative accuracy
+    # once e^s is small; log(-expm1(s)) alone kept only ~1e-16 absolute there.
+    g = Geometry.from_eps(eps, dim)
+    for pair in (PCPC, IPIP, PCIP):
+        truth = {ch: _classical_mpmath(g, pair, ch) for ch in (Channel.TE, Channel.TM)}
+        truth[None] = truth[Channel.TE] + truth[Channel.TM]
+        for ch, want in truth.items():
+            res = classical_term(g, pair, ch)
+            assert abs(res.value - want) <= res.error_estimate, (pair, ch)
+
+
+def test_free_energy_high_T_large_dim_is_classical():
+    # At D = 16, eps = 1, T = 10 the Matsubara terms p >= 1 are below 1e-50, so
+    # the free energy is T times the classical sum.
+    g = Geometry.from_eps(1.0, 16)
+    res = free_energy(g, PCPC, None, 10.0, TruncationPolicy(rel_tol=1e-9))
+    assert res.value == pytest.approx(10.0 * _classical_mpmath(g, PCPC, None), rel=1e-9)
 
 
 # --- free energy and limits --------------------------------------------------

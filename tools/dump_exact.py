@@ -48,7 +48,7 @@ import numpy as np
 from casimir_spheres import cli, log_bessel_i, log_bessel_k
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
                              TruncationPolicy, assemble_zero_T_expansion,
-                             classical_term, debye_d, debye_m,
+                             classical_term, debye_m, debye_u,
                              degeneracy_polynomial, free_energy, high_T_expansion,
                              thermal_correction, zero_T_energy, zero_T_expansion)
 
@@ -127,6 +127,16 @@ def calls():
         yield f"zeroT D=16 eps=0.6 bc={bc}", zero_T_energy, (g16, pair, None, fast)
         yield (f"free T={T_FREE} D=16 eps=0.6 bc={bc}", free_energy,
                (g16, pair, None, T_FREE, fast))
+    # Homogeneous f_l(0) = ln(1 - e^s) once e^s is far below 1: at eps = 1e8
+    # every term is ~ -(a1/a2)^(2 nu), and at D = 16 the d_l ~ nu^14 weights
+    # magnify any absolute error of f_l(0).
+    g_far = Geometry.from_eps(1e8, 3)
+    for bc in ("pc,pc", "pc,ip"):
+        yield (f"free T=20 D=3 eps=1e8 bc={bc}", free_energy,
+               (g_far, BoundaryPair.from_string(bc), None, 20.0))
+    g16 = Geometry.from_eps(1.0, 16)
+    yield "classical D=16 eps=1 bc=pc,pc", classical_term, (g16, pcpc)
+    yield "free T=10 D=16 eps=1 bc=pc,pc", free_energy, (g16, pcpc, None, 10.0)
 
 
 def cli_runs():
@@ -177,11 +187,11 @@ def tables():
                "scalar": [_hex(poly(float(n))) for n in nus],
                "array": [_hex(v) for v in poly(nus)],
                "exact": [str(poly.evaluate_exact(l)) for l in range(1, 201)]}
-    yield {"debye": "D_1", "coefficients": _fractions(debye_d(1))}
+    yield {"debye": "D_1", "coefficients": _fractions(debye_u(1))}
     alphas = sorted({Fraction(4 - dim, 2) for dim in range(3, 17)}
                     | {Fraction(dim - 2, 2) for dim in range(3, 17)})
     for a in alphas:
-        yield {"debye": f"M_1 alpha={a}", "coefficients": _fractions(debye_m(1, a))}
+        yield {"debye": f"M_1 alpha={a}", "coefficients": _fractions(debye_m(a))}
     for nu in LARGE_Z_NU:
         yield {"bessel": f"large z nu={nu}", "z": [_hex(z) for z in LARGE_Z],
                "ln_i": [_hex(log_bessel_i(nu, z)) for z in LARGE_Z],

@@ -9,14 +9,16 @@ K_nu at the two radii; at T = 0 the sum over p becomes the integral
 
     E_0 = 1/(2 pi) sum_l d_l(D) int_0^infty f_l(xi) dxi.
 
-Both series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  One
-driver, _angular_sum, runs the l-sum of every route; each route brings its
-stop rule.  free_energy and zero_T_energy stop on a certified l-tail bound
-(power D-2 and D-1), folded into the error estimate; thermal_correction,
-whose per-l differences decay like T^(2 nu + 1), stops after two small
-differences past l = 3.  All reductions run in a fixed order (ascending l,
-ascending p) with compensated accumulation, so results are reproducible
-bit-for-bit.
+Both series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
+channel's f is one _Kernel, evaluated at any real order nu.  One channel
+loop, _by_channel, runs every route and aggregates failures; under it the
+classical term sums numpy blocks of l, and the other routes sum one l at a
+time (_l_by_l), each with its stop rule.  free_energy and zero_T_energy stop
+on a certified l-tail bound (power D-2 and D-1), folded into the error
+estimate; thermal_correction, whose per-l differences decay like
+T^(2 nu + 1), stops after two small differences past l = 3.  All reductions
+run in a fixed order (ascending l, ascending p) with compensated
+accumulation, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 _CONSECUTIVE_SMALL = 5  # l-blocks below tolerance required before stopping
+_CLASSICAL_BLOCK = 65536  # orders per numpy block of the classical term
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
@@ -70,87 +74,84 @@ class _Kahan:
         return self.s
 
 
-class _LTerm:
-    """Everything needed to evaluate f_l at one angular number."""
+class _Kernel:
+    """One channel's f(nu, u) = ln(1 - M) at any real order nu and u = a1 * xi.
 
-    __slots__ = ("nu", "r21", "ab1", "ab2", "ratios", "pref", "homog", "alpha_log")
+    Built once per channel: the radius ratio, ln(a2/a1), the two Robin pairs
+    and their ratios and the degeneracy polynomial do not depend on nu.
+    """
 
-    def __init__(self, geometry: Geometry, bc_pair: BoundaryPair,
-                 channel: Channel, l: int):
-        self.nu = nu_of(l, geometry.dim)
+    __slots__ = ("r21", "alpha_log", "ab1", "ab2", "ratios", "homog", "degeneracy")
+
+    def __init__(self, geometry: Geometry, bc_pair: BoundaryPair, channel: Channel):
         self.r21 = geometry.a2 / geometry.a1
+        self.alpha_log = geometry.alpha_log
         a1c = bc_coefficients(channel, bc_pair.inner, geometry.dim)
         a2c = bc_coefficients(channel, bc_pair.outer, geometry.dim)
         self.ab1 = (float(a1c[0]), float(a1c[1]))
         self.ab2 = (float(a2c[0]), float(a2c[1]))
         self.ratios = tuple(None if c[1] == 0 else c[0] / c[1] for c in (a1c, a2c))
         self.homog = bc_pair.is_homogeneous
-        self.alpha_log = geometry.alpha_log
-        self.pref = _pref(self.nu, self.ab1, self.ab2)
+        self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
 
-    def log_m(self, u: float) -> tuple[int, float]:
-        """(sign, ln|M_l|) at u = a1 * xi."""
+    def pref(self, nu):
+        """M's xi -> 0 prefactor (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu)).
+
+        1 for a homogeneous pair; ``nu`` is a float or an array.
+        """
+        (a1, b1), (a2, b2) = self.ab1, self.ab2
+        return (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
+
+    def f0(self, nu):
+        """f(nu, 0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array."""
+        s = -2.0 * nu * self.alpha_log
+        if self.homog:
+            return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
+        return np.log1p(-self.pref(nu) * np.exp(s))
+
+    def log_m(self, nu: float, u: float) -> tuple[int, float]:
+        """(sign, ln|M|) at order nu and u = a1 * xi > 0."""
         u2 = self.r21 * u
-        if self.nu >= _DEBYE_MIN_NU:
+        if nu >= _DEBYE_MIN_NU:
             # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
             # X = ln[(1 + E + O)/(1 + E - O)]: the sqrt(nu) and w prefactors cancel,
             # and a mixed pair (one sphere with beta = 0) makes M negative.
-            w1, e1, o1 = _uniform_series(self.nu, u, self.ratios[0])
-            w2, e2, o2 = _uniform_series(self.nu, u2, self.ratios[1])
-            log_m = (-self._exponent(w1, w2) + (math.log1p(e1 + o1) - math.log1p(e1 - o1))
+            w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
+            w2, e2, o2 = _uniform_series(nu, u2, self.ratios[1])
+            log_m = (-self._exponent(nu, w1, w2) + (math.log1p(e1 + o1) - math.log1p(e1 - o1))
                      - (math.log1p(e2 + o2) - math.log1p(e2 - o2)))
             return (1 if self.homog else -1), log_m
         a1, b1 = self.ab1
         a2, b2 = self.ab2
-        i1 = robin_combination(a1, b1, self.nu, u, "I")
-        k2 = robin_combination(a2, b2, self.nu, u2, "K")
-        i2 = robin_combination(a2, b2, self.nu, u2, "I")
-        k1 = robin_combination(a1, b1, self.nu, u, "K")
+        i1 = robin_combination(a1, b1, nu, u, "I")
+        k2 = robin_combination(a2, b2, nu, u2, "K")
+        i2 = robin_combination(a2, b2, nu, u2, "I")
+        k1 = robin_combination(a1, b1, nu, u, "K")
         return (i1.sign * k2.sign * i2.sign * k1.sign,
                 (i1.log + k2.log) - (i2.log + k1.log))
 
-    def f0(self) -> float:
-        return float(_f0(self.nu, self.pref, self.homog, self.alpha_log))
-
-    def f(self, u: float) -> float:
-        """f_l at u = a1*xi > 0; the u -> 0 limit is f0."""
+    def f(self, nu: float, u: float) -> float:
+        """f at order nu and u = a1 * xi >= 0; u = 0 gives f0."""
         if u <= 0.0:
-            return self.f0()
-        return _log_one_minus(*self.log_m(u))
+            return float(self.f0(nu))
+        return _log_one_minus(*self.log_m(nu, u))
 
-    def _w(self, u: float) -> tuple[float, float]:
+    def _w(self, nu: float, u: float) -> tuple[float, float]:
         """w = sqrt(1 + (z/nu)^2) at z = u and z = r21 u, as _uniform_series has it."""
-        return math.hypot(1.0, u / self.nu), math.hypot(1.0, self.r21 * u / self.nu)
+        return math.hypot(1.0, u / nu), math.hypot(1.0, self.r21 * u / nu)
 
-    def _exponent(self, w1: float, w2: float) -> float:
+    def _exponent(self, nu: float, w1: float, w2: float) -> float:
         """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log."""
-        return 2.0 * self.nu * (w2 - w1 + math.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
+        return 2.0 * nu * (w2 - w1 + math.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
 
-    def decay_exponent(self, u: float) -> float:
+    def decay_exponent(self, nu: float, u: float) -> float:
         """g(u); |M| ~ exp(-g)."""
-        return self._exponent(*self._w(u))
+        return self._exponent(nu, *self._w(nu, u))
 
-    def decay_rate(self, u: float) -> float:
+    def decay_rate(self, nu: float, u: float) -> float:
         """g'(u) = 2 nu (w2 - w1) / u."""
-        w1, w2 = self._w(u)
-        return 2.0 * self.nu * (w2 - w1) / u
-
-
-def _pref(nu, ab1, ab2):
-    """M_l's xi -> 0 prefactor (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu)).
-
-    1 for a homogeneous pair; ``nu`` is a float or an array.
-    """
-    (a1, b1), (a2, b2) = ab1, ab2
-    return (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
-
-
-def _f0(nu, pref, homog: bool, alpha_log: float):
-    """f_l(0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array."""
-    s = -2.0 * nu * alpha_log
-    if homog:
-        return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
-    return np.log1p(-pref * np.exp(s))
+        w1, w2 = self._w(nu, u)
+        return 2.0 * nu * (w2 - w1) / u
 
 
 def _log_one_minus(sign: int, log: float) -> float:
@@ -179,8 +180,8 @@ def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     """The reflection-coefficient product M_l at imaginary frequency xi > 0."""
     if not 0.0 < xi < math.inf:
         raise ValueError(f"xi must be positive and finite, got {xi}")
-    ctx = _LTerm(geometry, bc_pair, channel, l)
-    sign, log = ctx.log_m(geometry.a1 * xi)
+    nu = nu_of(l, geometry.dim)
+    sign, log = _Kernel(geometry, bc_pair, channel).log_m(nu, geometry.a1 * xi)
     return sign * math.exp(log)
 
 
@@ -189,7 +190,8 @@ def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     """ln(1 - M_l(xi)); at xi = 0 the closed small-argument form is used."""
     if not 0.0 <= xi < math.inf:
         raise ValueError(f"xi must be finite and >= 0, got {xi}")
-    return _LTerm(geometry, bc_pair, channel, l).f(geometry.a1 * xi)
+    nu = nu_of(l, geometry.dim)
+    return _Kernel(geometry, bc_pair, channel).f(nu, geometry.a1 * xi)
 
 
 def _l_tail_bound(term: float, nu_val: float, power: float, alpha: float) -> float:
@@ -208,8 +210,73 @@ def _l_tail_bound(term: float, nu_val: float, power: float, alpha: float) -> flo
     return math.exp(min(log_tail, 700.0))
 
 
-def _channel_pairs(channel: Optional[Channel]):
-    return (channel,) if channel is not None else (Channel.TE, Channel.TM)
+def _by_channel(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+                channel_sum) -> EnergyResult:
+    """Add up ``channel_sum(kernel)`` over the requested channel or TE and TM.
+
+    ``channel_sum`` gives one channel's (value, error, l_used, p_used), or
+    raises NonConvergenceError with that channel's partial sum, l_used and
+    p_used.  Every channel runs to its own stop or cap; if any fails, one
+    NonConvergenceError carries the first failure's message and, as
+    ``partial``, the sum of every channel's completed terms.
+    """
+    per_channel: dict[str, float] = {}
+    l_used = p_used = 0
+    err = 0.0
+    failure = None
+    for ch in (channel,) if channel is not None else (Channel.TE, Channel.TM):
+        try:
+            value, ch_err, ch_l, ch_p = channel_sum(_Kernel(geometry, bc_pair, ch))
+            err += ch_err
+        except NonConvergenceError as exc:
+            failure = failure or exc
+            value, ch_l, ch_p = exc.partial, exc.l_used, exc.p_used
+        per_channel[ch.value] = value
+        l_used, p_used = max(l_used, ch_l), max(p_used, ch_p)
+    if failure is not None:
+        raise NonConvergenceError(str(failure), partial=sum(per_channel.values()),
+                                  l_used=l_used, p_used=p_used)
+    return EnergyResult(value=sum(per_channel.values()), per_channel=per_channel,
+                        l_used=l_used, p_used=p_used, error_estimate=err)
+
+
+def _certified(res: EnergyResult, policy: TruncationPolicy) -> EnergyResult:
+    """Add the rounding allowance to a classical, Matsubara or vacuum sum; enforce rel_tol."""
+    err = res.error_estimate + 8.0 * np.finfo(float).eps * abs(res.value)
+    if err > policy.rel_tol * abs(res.value):
+        raise NonConvergenceError(f"error estimate {err:.3e} exceeds rel_tol * |E| = "
+                                  f"{policy.rel_tol * abs(res.value):.3e}", partial=res.value,
+                                  l_used=res.l_used, p_used=res.p_used)
+    return replace(res, error_estimate=err)
+
+
+def _classical_blocks(kern: _Kernel, dim: int, policy: TruncationPolicy):
+    """One channel's (1/2) sum_l d_l f(nu_l, 0), scored in numpy blocks of l.
+
+    Stops once the last term and the certified l-tail (power D-2) fit the
+    tolerance; ``l_used`` is the last l whose term is significant.
+    """
+    alpha = kern.alpha_log
+    acc = _Kahan()
+    l_used = 0
+    lo = 1
+    while True:
+        hi = min(lo + _CLASSICAL_BLOCK - 1, policy.l_max_hard)
+        nu_v = np.arange(lo, hi + 1, dtype=np.float64) + (dim - 2) / 2.0
+        terms = 0.5 * kern.degeneracy(nu_v) * kern.f0(nu_v)
+        acc.add(float(np.sum(terms)))
+        significant = np.nonzero(np.abs(terms) > 1e-16 * abs(acc.value))[0]
+        if significant.size:
+            l_used = lo + int(significant[-1])
+        tail = _l_tail_bound(terms[-1], nu_v[-1], dim - 2, alpha)
+        if tail < policy.rel_tol * abs(acc.value) * 0.25 and abs(terms[-1]) \
+                < policy.rel_tol * abs(acc.value):
+            return acc.value, tail, l_used, 0
+        if hi >= policy.l_max_hard:
+            raise NonConvergenceError(f"classical term hit l_max_hard={policy.l_max_hard} "
+                                      f"before reaching rel_tol={policy.rel_tol}",
+                                      partial=acc.value, l_used=hi)
+        lo = hi + 1
 
 
 def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
@@ -218,56 +285,11 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
     """Zeroth-Matsubara part of the free energy, per unit temperature.
 
     An elementary series: (1/2) sum_l d_l(D) ln(1 - pref_l (a1/a2)^(2 nu)).
-    Multiply by T to obtain the high-temperature (classical) energy.  As in
-    _angular_sum, every channel runs to its own stop or cap; if any hits the
-    cap, one NonConvergenceError carries the sum of every channel's completed
-    terms as ``partial`` and the last l computed as ``l_used``.
+    Multiply by T to obtain the high-temperature (classical) energy.
     """
-    alpha = geometry.alpha_log
-    dim = geometry.dim
-    per_channel: dict[str, float] = {}
-    total = _Kahan()
-    err = 0.0
-    l_used = l_last = 0
-    failure = None
-    block = 65536
-    for ch in _channel_pairs(channel):
-        dpoly = degeneracy_polynomial(ch, dim)
-        ctx1 = _LTerm(geometry, bc_pair, ch, 1)
-        acc = _Kahan()
-        lo = 1
-        while True:
-            hi = min(lo + block - 1, policy.l_max_hard)
-            lv = np.arange(lo, hi + 1, dtype=np.float64)
-            nu_v = lv + (dim - 2) / 2.0
-            d_v = dpoly(nu_v)
-            f0 = _f0(nu_v, _pref(nu_v, ctx1.ab1, ctx1.ab2), ctx1.homog, alpha)
-            terms = 0.5 * d_v * f0
-            contrib = float(np.sum(terms))
-            acc.add(contrib)
-            l_last = max(l_last, hi)
-            significant = np.nonzero(np.abs(terms) > 1e-16 * abs(acc.value))[0]
-            if significant.size:
-                l_used = max(l_used, lo + int(significant[-1]))
-            last_term = 0.5 * d_v[-1] * f0[-1]
-            tail = _l_tail_bound(last_term, nu_v[-1], dim - 2, alpha)
-            if tail < policy.rel_tol * abs(acc.value) * 0.25 and abs(last_term) \
-                    < policy.rel_tol * abs(acc.value):
-                err += tail
-                break
-            if hi >= policy.l_max_hard:
-                failure = (f"classical term hit l_max_hard={policy.l_max_hard} "
-                           f"before reaching rel_tol={policy.rel_tol}")
-                break
-            lo = hi + 1
-        per_channel[ch.value] = acc.value
-        total.add(acc.value)
-    if failure is not None:
-        raise NonConvergenceError(failure, partial=total.value, l_used=l_last)
-    value = total.value
-    err += 8.0 * np.finfo(float).eps * abs(value)
-    return EnergyResult(value=value, per_channel=per_channel, l_used=l_used,
-                        p_used=0, error_estimate=err, temperature=None)
+    res = _by_channel(geometry, bc_pair, channel,
+                      lambda kern: _classical_blocks(kern, geometry.dim, policy))
+    return _certified(res, policy)
 
 
 def _certified_stop(policy: TruncationPolicy, power: float, alpha: float):
@@ -303,79 +325,50 @@ def _difference_stop(policy: TruncationPolicy):
     return rule
 
 
-def _angular_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
-                 policy: TruncationPolicy, block, stop, temperature: float) -> EnergyResult:
-    """Kahan sum over l of each channel's d_l-weighted per-l blocks.
+def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
+    """One channel's Kahan sum over l of d_l-weighted per-l blocks.
 
-    ``block(l, ctx, d_l, total)`` gives one l's (term, error, p_used);
-    ``stop()`` makes a channel's ``rule(l, nu, term, total, err)``, which
-    returns the l-tail bound that ends the sum, or None.  Every channel runs
-    to its own stop or cap; if any fails, one NonConvergenceError carries the
-    first failure's message and, as ``partial``, the energy of every
-    completed l-term of every channel.
+    ``term(kern, nu, d_l, total)`` gives one l's (term, error, p_used);
+    ``rule(l, nu, term, total, err)`` returns the l-tail bound that ends the
+    sum, or None.
     """
-    per_channel: dict[str, float] = {}
+    acc, err = _Kahan(), 0.0
     l_used = p_used = 0
-    err_total = 0.0
-    failure = None
-    for ch in _channel_pairs(channel):
-        dpoly = degeneracy_polynomial(ch, geometry.dim)
-        rule, acc, err = stop(), _Kahan(), 0.0
-        try:
-            for l in range(1, policy.l_max_hard + 1):
-                ctx = _LTerm(geometry, bc_pair, ch, l)
-                term, error, p = block(l, ctx, float(dpoly(ctx.nu)), acc.value)
-                acc.add(term)
-                err += error
-                l_used, p_used = max(l_used, l), max(p_used, p)
-                ltail = rule(l, ctx.nu, term, acc.value, err)
-                if ltail is not None:
-                    err += ltail
-                    break
-            else:
-                raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
-        except NonConvergenceError as exc:
-            failure = failure or exc
-            p_used = max(p_used, exc.p_used)
-        per_channel[ch.value] = acc.value
-        err_total += err
-    if failure is not None:
-        raise NonConvergenceError(str(failure), partial=sum(per_channel.values()),
-                                  l_used=l_used, p_used=p_used)
-    return EnergyResult(value=sum(per_channel.values()), per_channel=per_channel,
-                        l_used=l_used, p_used=p_used, error_estimate=err_total,
-                        temperature=temperature)
+    try:
+        for l in range(1, policy.l_max_hard + 1):
+            nu = nu_of(l, dim)
+            t, error, p = term(kern, nu, float(kern.degeneracy(nu)), acc.value)
+            acc.add(t)
+            err += error
+            l_used, p_used = l, max(p_used, p)
+            ltail = rule(l, nu, t, acc.value, err)
+            if ltail is not None:
+                return acc.value, err + ltail, l_used, p_used
+        raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
+    except NonConvergenceError as exc:
+        raise NonConvergenceError(str(exc), partial=acc.value, l_used=l_used,
+                                  p_used=max(p_used, exc.p_used)) from None
 
 
-def _certified(res: EnergyResult, policy: TruncationPolicy) -> EnergyResult:
-    """Add the rounding allowance to a Matsubara or vacuum sum; enforce rel_tol."""
-    err = res.error_estimate + 8.0 * np.finfo(float).eps * abs(res.value)
-    if err > policy.rel_tol * abs(res.value):
-        raise NonConvergenceError(f"error estimate {err:.3e} exceeds rel_tol * |E| = "
-                                  f"{policy.rel_tol * abs(res.value):.3e}", partial=res.value,
-                                  l_used=res.l_used, p_used=res.p_used)
-    return replace(res, error_estimate=err)
-
-
-def _matsubara_block(ctx: _LTerm, a1T: float, rel_tol: float,
+def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                      p_max: int) -> tuple[float, float, int]:
-    """f0/2 + sum_p f(u_p) for one l, with certified p-tail bound."""
+    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound."""
     du = 2.0 * math.pi * a1T
     acc = _Kahan()
-    acc.add(0.5 * ctx.f0())
+    acc.add(0.5 * kern.f(nu, 0.0))
     p = 1
     while True:
         u = du * p
-        fv = ctx.f(u)
+        fv = kern.f(nu, u)
         acc.add(fv)
-        rate = ctx.decay_rate(u)
+        rate = kern.decay_rate(nu, u)
         r = math.exp(-rate * du)
         tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
         if tail < rel_tol * max(abs(acc.value), 1e-300):
             break
         if p >= p_max:
             raise NonConvergenceError(
-                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={ctx.nu})", p_used=p)
+                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
         p += 1
     return acc.value, tail, p
 
@@ -388,71 +381,73 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
         raise ValueError(f"free_energy requires T > 0, got {T}; use zero_T_energy at T=0")
     a1T = geometry.a1 * T
 
-    def matsubara_term(l, ctx, d_l, total):
-        block, ptail, p = _matsubara_block(ctx, a1T, policy.rel_tol / 20.0,
+    def matsubara_term(kern, nu, d_l, total):
+        block, ptail, p = _matsubara_block(kern, nu, a1T, policy.rel_tol / 20.0,
                                            policy.p_max_hard)
         return T * d_l * block, T * d_l * ptail, p
 
-    res = _angular_sum(
-        geometry, bc_pair, channel, policy, matsubara_term,
-        lambda: _certified_stop(policy, geometry.dim - 2, geometry.alpha_log), T)
+    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
+        kern, geometry.dim, policy, matsubara_term,
+        _certified_stop(policy, geometry.dim - 2, geometry.alpha_log)))
     return _certified(res, policy)
 
 
-def _pick_cut(ctx: _LTerm, ftol: float) -> tuple[float, float]:
+def _pick_cut(kern: _Kernel, nu: float, ftol: float) -> tuple[float, float]:
     """Upper cut X with |f(X)| below ftol, solved from the decay exponent; (X, f(X))."""
-    target = math.log(max(1.0 + abs(ctx.pref), 2.0) / ftol)
-    g0 = 2.0 * ctx.nu * math.log(ctx.r21)
-    x = max(ctx.nu, (target + g0) / (2.0 * (ctx.r21 - 1.0) / (1.0 + 0.5 * (ctx.r21 - 1.0))))
+    r21 = kern.r21
+    target = math.log(max(1.0 + abs(kern.pref(nu)), 2.0) / ftol)
+    g0 = 2.0 * nu * math.log(r21)
+    x = max(nu, (target + g0) / (2.0 * (r21 - 1.0) / (1.0 + 0.5 * (r21 - 1.0))))
     for _ in range(8):
-        gap = target - (ctx.decay_exponent(x) - g0)
+        gap = target - (kern.decay_exponent(nu, x) - g0)
         if gap <= 0.0:
             break
-        x += gap / ctx.decay_rate(x) + 1.0
-    fx = ctx.f(x)
+        x += gap / kern.decay_rate(nu, x) + 1.0
+    fx = kern.f(nu, x)
     while abs(fx) > ftol:
         x *= 1.3
-        fx = ctx.f(x)
+        fx = kern.f(nu, x)
     return x, fx
 
 
-def _zero_t_integral(ctx: _LTerm, epsabs: float, epsrel: float) -> tuple[float, float]:
+def _zero_t_integral(kern: _Kernel, nu: float, epsabs: float,
+                     epsrel: float) -> tuple[float, float]:
     """int_0^infty f du with a certified exponential tail bound beyond the cut."""
-    kappa_inf = 2.0 * (ctx.r21 - 1.0)
+    kappa_inf = 2.0 * (kern.r21 - 1.0)
     ftol = max(epsabs * kappa_inf / 4.0, 1e-240)
-    x_cut, f_cut = _pick_cut(ctx, ftol)
-    pts = [p for p in (0.5 * ctx.nu, ctx.nu, 2.0 * ctx.nu) if 0.0 < p < x_cut]
+    x_cut, f_cut = _pick_cut(kern, nu, ftol)
+    pts = [p for p in (0.5 * nu, nu, 2.0 * nu) if 0.0 < p < x_cut]
     with warnings.catch_warnings():
         # Near machine precision QUADPACK reports the roundoff limit through a
         # warning; the returned error estimate already accounts for it.
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, qerr = quad(ctx.f, 0.0, x_cut, points=pts or None, limit=300,
+        val, qerr = quad(partial(kern.f, nu), 0.0, x_cut, points=pts or None, limit=300,
                          epsabs=epsabs, epsrel=epsrel)
-    tail = abs(f_cut) / ctx.decay_rate(x_cut)
+    tail = abs(f_cut) / kern.decay_rate(nu, x_cut)
     return val, qerr + tail
 
 
 def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
                   channel: Optional[Channel] = None,
                   policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
-    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
-    inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
-    scale = 0.0
+    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l.
 
-    def vacuum_term(l, ctx, d_l, total):
-        # l = 1 has no running sum; it sets the scale of the later absolute targets.
-        nonlocal scale
-        epsabs = 0.0 if l == 1 else max(
-            policy.rel_tol * max(abs(total), scale * inv_2pi_a1)
-            / (40.0 * d_l * inv_2pi_a1), 1e-280)
-        integral, ierr = _zero_t_integral(ctx, epsabs=epsabs, epsrel=policy.rel_tol / 10.0)
-        if l == 1:
-            scale = abs(d_l * integral)
+    Each order's quadrature may use rel_tol * |running sum| / share, with a
+    share that grows with the expected number of orders,
+    ln(1/rel_tol) / (2 ln(a2/a1)), so their sum stays inside the tolerance.
+    """
+    inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
+    share = 40.0 + 4.0 * -math.log(policy.rel_tol) / (2.0 * geometry.alpha_log)
+
+    def vacuum_term(kern, nu, d_l, total):
+        epsabs = max(policy.rel_tol * abs(total) / (share * d_l * inv_2pi_a1), 1e-280)
+        integral, ierr = _zero_t_integral(kern, nu, epsabs=epsabs,
+                                          epsrel=policy.rel_tol / 10.0)
         return inv_2pi_a1 * d_l * integral, inv_2pi_a1 * d_l * ierr, 0
 
-    res = _angular_sum(
-        geometry, bc_pair, channel, policy, vacuum_term,
-        lambda: _certified_stop(policy, geometry.dim - 1, geometry.alpha_log), 0.0)
+    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
+        kern, geometry.dim, policy, vacuum_term,
+        _certified_stop(policy, geometry.dim - 1, geometry.alpha_log)))
     return _certified(res, policy)
 
 
@@ -472,16 +467,16 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     a1T = geometry.a1 * T
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
-    def difference_term(l, ctx, d_l, total):
-        block, ptail, p = _matsubara_block(ctx, a1T, 1e-14, policy.p_max_hard)
-        integral, ierr = _zero_t_integral(ctx, epsabs=0.0, epsrel=2e-14)
+    def difference_term(kern, nu, d_l, total):
+        block, ptail, p = _matsubara_block(kern, nu, a1T, 1e-14, policy.p_max_hard)
+        integral, ierr = _zero_t_integral(kern, nu, epsabs=0.0, epsrel=2e-14)
         delta = d_l * (T * block - inv_2pi_a1 * integral)
         truncation = d_l * (T * ptail + inv_2pi_a1 * ierr)
         rounding = d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
         return delta, truncation + rounding, p
 
-    res = _angular_sum(geometry, bc_pair, channel, policy, difference_term,
-                       lambda: _difference_stop(policy), T)
+    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
+        kern, geometry.dim, policy, difference_term, _difference_stop(policy)))
     if abs(res.value) < 10.0 * res.error_estimate:
         msg = (f"thermal correction {res.value:.3e} is within a decade of its combined "
                f"error estimate {res.error_estimate:.3e}; digits are not trustworthy")

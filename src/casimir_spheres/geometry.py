@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["Geometry", "TruncationPolicy", "EnergyResult"]
 
@@ -82,8 +81,4 @@ class EnergyResult:
     l_used: int
     p_used: int
     error_estimate: float
-    temperature: Optional[float]
     warnings: tuple[str, ...] = field(default=())
-
-    def __float__(self):
-        return self.value

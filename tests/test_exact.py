@@ -164,7 +164,6 @@ def test_classical_error_contract():
     g = Geometry(1.0, 1.2, 4)
     res = classical_term(g, IPIP)
     assert abs(res.error_estimate) <= 1e-9 * abs(res.value)
-    assert res.temperature is None
 
 
 def test_classical_hard_cap_raises():
@@ -176,9 +175,21 @@ def test_classical_hard_cap_raises():
             classical_term(g, PCPC, ch, cap)
         assert exc.value.l_used == 1000
         partials[ch] = exc.value.partial
-    # every channel runs to its cap, as in the angular-sum driver
+    # every channel runs to its cap, as in the shared channel loop
     assert partials[None] == pytest.approx(partials[Channel.TE] + partials[Channel.TM],
                                            rel=1e-15)
+
+
+def test_classical_fails_below_its_rounding_allowance():
+    # the 8-ulp rounding allowance alone is 1.8e-15 relative here: a tighter
+    # rel_tol raises as the Matsubara and vacuum sums do, a looser one returns
+    g = Geometry.from_eps(0.3, 3)
+    ok = classical_term(g, PCPC, None, TruncationPolicy(rel_tol=2e-15))
+    assert ok.error_estimate <= 2e-15 * abs(ok.value)
+    for rel_tol in (1e-16, 1e-15):
+        with pytest.raises(NonConvergenceError) as info:
+            classical_term(g, PCPC, None, TruncationPolicy(rel_tol=rel_tol))
+        assert (info.value.partial, info.value.l_used) == (ok.value, ok.l_used)
 
 
 @pytest.mark.parametrize("dim", [3, 5, 16])
@@ -316,7 +327,6 @@ def test_zero_t_spec_point():
     assert res.value == pytest.approx(series, rel=2e-2)
     assert res.value == pytest.approx(zero_T_expansion(3, PCPC).evaluate(0.1),
                                       rel=2e-3)
-    assert res.temperature == 0.0
     assert abs(res.error_estimate) <= 1e-9 * abs(res.value)
 
 
@@ -332,7 +342,17 @@ def test_zero_t_vanishes_at_large_separation():
     assert abs(far) < 1e-4 * abs(near)
 
 
-# Every route shares the angular-sum driver's failure path.
+def test_zero_t_small_gap_converges_at_default_tolerance():
+    # ~3200 orders: the per-order quadrature share grows with the order count,
+    # so the summed quadrature errors stay inside rel_tol (~10 s)
+    g = Geometry.from_eps(0.004, 3)
+    res = zero_T_energy(g, PCPC, Channel.TE)
+    assert res.error_estimate <= 1e-9 * abs(res.value)
+    loose = zero_T_energy(g, PCPC, Channel.TE, FAST)
+    assert abs(res.value - loose.value) <= loose.error_estimate
+
+
+# Every route shares the channel loop's failure path.
 _CAP_CALLS = {
     "zero_T_energy": lambda g, pol: zero_T_energy(g, PCPC, None, pol),
     "free_energy": lambda g, pol: free_energy(g, PCPC, None, 0.5, pol),

@@ -137,6 +137,15 @@ def calls():
     g16 = Geometry.from_eps(1.0, 16)
     yield "classical D=16 eps=1 bc=pc,pc", classical_term, (g16, pcpc)
     yield "free T=10 D=16 eps=1 bc=pc,pc", free_energy, (g16, pcpc, None, 10.0)
+    # Below its 8-ulp rounding allowance the classical term raises.
+    yield ("classical rel_tol=1e-16 D=3 eps=0.3 bc=pc,pc", classical_term,
+           (Geometry.from_eps(0.3, 3), pcpc, None, TruncationPolicy(rel_tol=1e-16)))
+    # Small gaps at the default rel_tol: the per-order quadrature share grows
+    # with the expected number of orders.
+    yield ("zeroT rel_tol=1e-9 D=3 eps=0.05 bc=pc,ip", zero_T_energy,
+           (Geometry.from_eps(0.05, 3), BoundaryPair.from_string("pc,ip")))
+    yield ("zeroT rel_tol=1e-9 D=3 eps=0.01 bc=pc,pc ch=TE", zero_T_energy,
+           (Geometry.from_eps(0.01, 3), pcpc, Channel.TE))
 
 
 def cli_runs():

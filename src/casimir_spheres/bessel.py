@@ -93,8 +93,8 @@ def _log_i_series(nu: float, z: float) -> float:
 
 def _log_k_smallz(nu: float, z: float) -> float:
     # K_nu(z) ~ Gamma(nu)/2 * (z/2)^-nu * sum_k (-q)^k / (k! (nu-1)(nu-2)...(nu-k)),
-    # truncated far from the crossing term (z/2)^{2 nu}; used only where that
-    # term and the truncation error are both below ~1e-14 relative.
+    # truncated before the crossing term (z/2)^{2 nu}; used only where that
+    # term (below e^-40) and the truncation error are both below ~1e-16 relative.
     q = 0.25 * z * z
     s = 1.0
     term = 1.0
@@ -180,7 +180,7 @@ def log_bessel_k(nu: float, z: float) -> float:
     _check_args(nu, z)
     if _uniform(nu, z):
         return _log_k_debye(nu, z)
-    if nu >= 2.0 and z * z <= 4e-5 * (nu - 1.0):
+    if nu >= 2.0 and z * z <= 4e-5 * (nu - 1.0) and nu * math.log(2.0 / z) >= 20.0:
         return _log_k_smallz(nu, z)
     v = _sp.kve(nu, z)
     if math.isinf(v) and nu >= 1.5:  # overflow: tiny z only

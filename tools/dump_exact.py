@@ -8,8 +8,9 @@ tables behind the series: every term of the small-gap expansions (D 3..16,
 four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
 polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), the order-one Debye polynomials
-at the library's Robin ratios, and ln I and ln K across the z = 1e8 seam
-of the uniform branch, up to z = 1e15.  Last come the exit code and full
+at the library's Robin ratios, ln I and ln K across the z = 1e8 seam
+of the uniform branch, up to z = 1e15, and ln K in the small-z series
+window.  Last come the exit code and full
 stdout of a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with
 forces, a convergence ladder).  Two checkouts give byte-identical dumps exactly when a
 change leaves the numbers and the CLI output untouched:
@@ -58,6 +59,9 @@ T_THERMAL = 0.1
 # z = 1e8, where every order > 0 takes the uniform branch, to 1e15.
 LARGE_Z_NU = (0.5, 1.5, 10.5, 49.5)
 LARGE_Z = (3e4, 1e6, 9.9e7, 1e8, 1.01e8, 1.2e9, 1.26e10, 1e12, 1e15)
+# ln K inside and at the edge of the small-z series window, z^2 <= 4e-5 (nu - 1).
+SMALL_Z_NU = (2.0, 2.5)
+SMALL_Z = (1e-4, 1e-3, 6.3e-3)
 
 
 def _hex(x):
@@ -146,6 +150,9 @@ def calls():
            (Geometry.from_eps(0.05, 3), BoundaryPair.from_string("pc,ip")))
     yield ("zeroT rel_tol=1e-9 D=3 eps=0.01 bc=pc,pc ch=TE", zero_T_energy,
            (Geometry.from_eps(0.01, 3), pcpc, Channel.TE))
+    # At D = 4 the first order is nu = 2, whose integrand reaches K at small z.
+    yield ("zeroT rel_tol=1e-9 D=4 eps=0.3 bc=pc,pc", zero_T_energy,
+           (Geometry.from_eps(0.3, 4), pcpc))
 
 
 def cli_runs():
@@ -205,6 +212,9 @@ def tables():
         yield {"bessel": f"large z nu={nu}", "z": [_hex(z) for z in LARGE_Z],
                "ln_i": [_hex(log_bessel_i(nu, z)) for z in LARGE_Z],
                "ln_k": [_hex(log_bessel_k(nu, z)) for z in LARGE_Z]}
+    for nu in SMALL_Z_NU:
+        yield {"bessel": f"small z nu={nu}", "z": [_hex(z) for z in SMALL_Z],
+               "ln_k": [_hex(log_bessel_k(nu, z)) for z in SMALL_Z]}
 
 
 TABLE_KINDS = ("series", "degeneracy", "debye", "bessel")

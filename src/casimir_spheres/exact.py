@@ -7,9 +7,10 @@ The TE or TM contribution at temperature T is the Matsubara sum
 with f_l(xi) = ln(1 - M_l(xi)) built from Robin combinations of I_nu and
 K_nu at the two radii; at T = 0 the sum over p becomes the integral
 
-    E_0 = 1/(2 pi) sum_l d_l(D) int_0^infty f_l(xi) dxi.
+    E_0 = 1/(2 pi) sum_l d_l(D) int_0^infty f_l(xi) dxi,
 
-Both series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
+each order's integral by one fixed-step double-exponential rule.  Both
+series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
 channel's f is one _Kernel, evaluated at any real order nu.  One channel
 loop, _by_channel, runs every route and aggregates failures; under it the
 classical term sums numpy blocks of l, and the other routes sum one l at a
@@ -26,12 +27,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import IntegrationWarning, quad
 
 from .bessel import _DEBYE_MIN_NU, _uniform_series, robin_combination
 from .errors import NonConvergenceError, PrecisionLossError
@@ -51,6 +50,8 @@ __all__ = [
 
 _CONSECUTIVE_SMALL = 5  # l-blocks below tolerance required before stopping
 _CLASSICAL_BLOCK = 65536  # orders per numpy block of the classical term
+_DE_STEP = 0.1  # step h in t of the frequency integral's trapezoid rule
+_DE_CUT = 1e-17  # each side of the t-walk stops at |F| <= _DE_CUT * max|F|
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
@@ -94,20 +95,18 @@ class _Kernel:
         self.homog = bc_pair.is_homogeneous
         self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
 
-    def pref(self, nu):
-        """M's xi -> 0 prefactor (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu)).
-
-        1 for a homogeneous pair; ``nu`` is a float or an array.
-        """
-        (a1, b1), (a2, b2) = self.ab1, self.ab2
-        return (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
-
     def f0(self, nu):
-        """f(nu, 0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array."""
+        """f(nu, 0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array.
+
+        M's xi -> 0 prefactor pref = (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu))
+        is 1 for a homogeneous pair.
+        """
         s = -2.0 * nu * self.alpha_log
         if self.homog:
             return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
-        return np.log1p(-self.pref(nu) * np.exp(s))
+        (a1, b1), (a2, b2) = self.ab1, self.ab2
+        pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
+        return np.log1p(-pref * np.exp(s))
 
     def log_m(self, nu: float, u: float) -> tuple[int, float]:
         """(sign, ln|M|) at order nu and u = a1 * xi > 0."""
@@ -136,21 +135,13 @@ class _Kernel:
             return float(self.f0(nu))
         return _log_one_minus(*self.log_m(nu, u))
 
-    def _w(self, nu: float, u: float) -> tuple[float, float]:
-        """w = sqrt(1 + (z/nu)^2) at z = u and z = r21 u, as _uniform_series has it."""
-        return math.hypot(1.0, u / nu), math.hypot(1.0, self.r21 * u / nu)
-
     def _exponent(self, nu: float, w1: float, w2: float) -> float:
-        """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log."""
+        """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
         return 2.0 * nu * (w2 - w1 + math.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
 
-    def decay_exponent(self, nu: float, u: float) -> float:
-        """g(u); |M| ~ exp(-g)."""
-        return self._exponent(nu, *self._w(nu, u))
-
     def decay_rate(self, nu: float, u: float) -> float:
-        """g'(u) = 2 nu (w2 - w1) / u."""
-        w1, w2 = self._w(nu, u)
+        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u."""
+        w1, w2 = math.hypot(1.0, u / nu), math.hypot(1.0, self.r21 * u / nu)
         return 2.0 * nu * (w2 - w1) / u
 
 
@@ -328,7 +319,7 @@ def _difference_stop(policy: TruncationPolicy):
 def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
     """One channel's Kahan sum over l of d_l-weighted per-l blocks.
 
-    ``term(kern, nu, d_l, total)`` gives one l's (term, error, p_used);
+    ``term(kern, nu, d_l)`` gives one l's (term, error, p_used);
     ``rule(l, nu, term, total, err)`` returns the l-tail bound that ends the
     sum, or None.
     """
@@ -337,7 +328,7 @@ def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
     try:
         for l in range(1, policy.l_max_hard + 1):
             nu = nu_of(l, dim)
-            t, error, p = term(kern, nu, float(kern.degeneracy(nu)), acc.value)
+            t, error, p = term(kern, nu, float(kern.degeneracy(nu)))
             acc.add(t)
             err += error
             l_used, p_used = l, max(p_used, p)
@@ -381,7 +372,7 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
         raise ValueError(f"free_energy requires T > 0, got {T}; use zero_T_energy at T=0")
     a1T = geometry.a1 * T
 
-    def matsubara_term(kern, nu, d_l, total):
+    def matsubara_term(kern, nu, d_l):
         block, ptail, p = _matsubara_block(kern, nu, a1T, policy.rel_tol / 20.0,
                                            policy.p_max_hard)
         return T * d_l * block, T * d_l * ptail, p
@@ -392,57 +383,49 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
     return _certified(res, policy)
 
 
-def _pick_cut(kern: _Kernel, nu: float, ftol: float) -> tuple[float, float]:
-    """Upper cut X with |f(X)| below ftol, solved from the decay exponent; (X, f(X))."""
-    r21 = kern.r21
-    target = math.log(max(1.0 + abs(kern.pref(nu)), 2.0) / ftol)
-    g0 = 2.0 * nu * math.log(r21)
-    x = max(nu, (target + g0) / (2.0 * (r21 - 1.0) / (1.0 + 0.5 * (r21 - 1.0))))
-    for _ in range(8):
-        gap = target - (kern.decay_exponent(nu, x) - g0)
-        if gap <= 0.0:
-            break
-        x += gap / kern.decay_rate(nu, x) + 1.0
-    fx = kern.f(nu, x)
-    while abs(fx) > ftol:
-        x *= 1.3
-        fx = kern.f(nu, x)
-    return x, fx
+def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
+    """int_0^infty f(nu, u) du and its error estimate, by one fixed-step rule.
 
-
-def _zero_t_integral(kern: _Kernel, nu: float, epsabs: float,
-                     epsrel: float) -> tuple[float, float]:
-    """int_0^infty f du with a certified exponential tail bound beyond the cut."""
-    kappa_inf = 2.0 * (kern.r21 - 1.0)
-    ftol = max(epsabs * kappa_inf / 4.0, 1e-240)
-    x_cut, f_cut = _pick_cut(kern, nu, ftol)
-    pts = [p for p in (0.5 * nu, nu, 2.0 * nu) if 0.0 < p < x_cut]
-    with warnings.catch_warnings():
-        # Near machine precision QUADPACK reports the roundoff limit through a
-        # warning; the returned error estimate already accounts for it.
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, qerr = quad(partial(kern.f, nu), 0.0, x_cut, points=pts or None, limit=300,
-                         epsabs=epsabs, epsrel=epsrel)
-    tail = abs(f_cut) / kern.decay_rate(nu, x_cut)
-    return val, qerr + tail
+    The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
+    Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
+    q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
+    from t = 0 on each side, the right one to t >= 1 at least, and stops at
+    the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
+    where f is 0, adds 0.  The estimate is d1^2/d2 from the sums at 2h and
+    4h on the same nodes, plus a rounding allowance that grows with nu, as
+    the kernel's exponent 2 nu w loses digits in proportion.
+    """
+    q = 1.0 / (kern.r21 * kern.r21 - 1.0)
+    c = min(nu, math.sqrt(q * (2.0 * nu + q)))
+    nodes: dict[int, float] = {}
+    peak = 0.0
+    for step in (1, -1):
+        k = 0 if step > 0 else -1
+        while True:
+            t = k * _DE_STEP
+            u = c * math.exp(t - math.exp(-t))
+            fk = u * (1.0 + math.exp(-t)) * kern.f(nu, u) if u > 0.0 else 0.0
+            nodes[k] = fk
+            peak = max(peak, abs(fk))
+            if abs(fk) <= _DE_CUT * peak and (step < 0 or t >= 1.0):
+                break
+            k += step
+    s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(v for k, v in nodes.items() if k % m == 0)
+                       for m in (1, 2, 4))
+    d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
+    rounding = (128.0 + 2.0 * nu) * np.finfo(float).eps * _DE_STEP \
+        * math.fsum(abs(v) for v in nodes.values())
+    return s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding
 
 
 def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
                   channel: Optional[Channel] = None,
                   policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
-    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l.
-
-    Each order's quadrature may use rel_tol * |running sum| / share, with a
-    share that grows with the expected number of orders,
-    ln(1/rel_tol) / (2 ln(a2/a1)), so their sum stays inside the tolerance.
-    """
+    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
-    share = 40.0 + 4.0 * -math.log(policy.rel_tol) / (2.0 * geometry.alpha_log)
 
-    def vacuum_term(kern, nu, d_l, total):
-        epsabs = max(policy.rel_tol * abs(total) / (share * d_l * inv_2pi_a1), 1e-280)
-        integral, ierr = _zero_t_integral(kern, nu, epsabs=epsabs,
-                                          epsrel=policy.rel_tol / 10.0)
+    def vacuum_term(kern, nu, d_l):
+        integral, ierr = _zero_t_integral(kern, nu)
         return inv_2pi_a1 * d_l * integral, inv_2pi_a1 * d_l * ierr, 0
 
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
@@ -456,8 +439,8 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
                        policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
     """E(T) - E_0 by per-l subtraction of the two exact routes.
 
-    The Matsubara sum and the frequency integral are evaluated for the same l
-    with matched (tight) truncation tolerances and differenced term by term;
+    The Matsubara sum (at a tight tolerance) and the frequency integral are
+    evaluated for the same l and differenced term by term;
     the difference decays like T^(2 nu + 1), so only a handful of l survive.
     A warning is attached when the correction is within a decade of the
     combined error estimate.
@@ -467,9 +450,9 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     a1T = geometry.a1 * T
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
-    def difference_term(kern, nu, d_l, total):
+    def difference_term(kern, nu, d_l):
         block, ptail, p = _matsubara_block(kern, nu, a1T, 1e-14, policy.p_max_hard)
-        integral, ierr = _zero_t_integral(kern, nu, epsabs=0.0, epsrel=2e-14)
+        integral, ierr = _zero_t_integral(kern, nu)
         delta = d_l * (T * block - inv_2pi_a1 * integral)
         truncation = d_l * (T * ptail + inv_2pi_a1 * ierr)
         rounding = d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))

@@ -1,9 +1,12 @@
+import itertools
 import math
+import warnings
 
 import mpmath as mp
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
-from casimir_spheres import bessel
+from casimir_spheres import bessel, exact
 from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              Geometry, NonConvergenceError, PrecisionLossError,
                              TruncationPolicy, bc_coefficients, classical_term,
@@ -11,6 +14,7 @@ from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              free_energy, m_ratio, riemann_zeta,
                              thermal_correction, zero_T_energy,
                              zero_T_expansion)
+from casimir_spheres.modes import nu as nu_of
 
 PC = BoundaryCondition.PERFECTLY_CONDUCTING
 IP = BoundaryCondition.INFINITELY_PERMEABLE
@@ -343,13 +347,70 @@ def test_zero_t_vanishes_at_large_separation():
 
 
 def test_zero_t_small_gap_converges_at_default_tolerance():
-    # ~3200 orders: the per-order quadrature share grows with the order count,
-    # so the summed quadrature errors stay inside rel_tol (~10 s)
+    # ~3200 orders, each frequency integral good to ~1e-13 relative, so
+    # their summed errors stay inside rel_tol (~10 s)
     g = Geometry.from_eps(0.004, 3)
     res = zero_T_energy(g, PCPC, Channel.TE)
     assert res.error_estimate <= 1e-9 * abs(res.value)
     loose = zero_T_energy(g, PCPC, Channel.TE, FAST)
     assert abs(res.value - loose.value) <= loose.error_estimate
+
+
+def _quad_reference(kern, nu):
+    """(int_0^inf f(nu, u) du, its error) by QUADPACK at epsrel 2e-14 in s = u/c.
+
+    c is the frequency rule's own scale, so [0, 1] and [1, inf) split the
+    integrand where |M| has fallen by about e.
+    """
+    q = 1.0 / (kern.r21 ** 2 - 1.0)
+    c = min(nu, math.sqrt(q * (2.0 * nu + q)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        parts = [quad(lambda s: c * kern.f(nu, c * s), lo, hi, epsabs=0.0, epsrel=2e-14,
+                      limit=200) for lo, hi in ((0.0, 1.0), (1.0, math.inf))]
+    return sum(v for v, _ in parts), sum(e for _, e in parts)
+
+
+# Orders per gap up to where |M| ~ e^-30 at u = 0; the rounding allowance
+# grows like nu ulp, so nu stays below ~2000 for the 1e-12 bound.
+_ORACLE_ORDERS = {0.002: (1, 50, 1500), 0.01: (1, 49, 1000), 0.05: (1, 60, 300),
+                  0.3: (1, 10, 50), 1.0: (1, 5, 20), 10.0: (1, 3, 6), 1e3: (1, 2),
+                  1e8: (1, 2)}
+_ORACLE_CASES = list(zip(
+    ((eps, l) for eps, ls in _ORACLE_ORDERS.items() for l in ls for _ in range(3)),
+    itertools.cycle(itertools.product((3, 4, 5, 16), ("pc,pc", "pc,ip", "ip,pc", "ip,ip"),
+                                      (Channel.TE, Channel.TM)))))
+
+
+def test_frequency_integral_within_its_estimate_of_quadpack():
+    # 66 orders over D, pairs, channels and eps from 0.002 to 1e8.
+    misses = []
+    for (eps, l), (dim, bc, ch) in _ORACLE_CASES:
+        kern = exact._Kernel(Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), ch)
+        nu = nu_of(l, dim)
+        got, est = exact._zero_t_integral(kern, nu)
+        want, qerr = _quad_reference(kern, nu)
+        if not (abs(got - want) <= est + qerr and est <= 1e-12 * abs(got)):
+            misses.append(f"eps={eps} D={dim} {bc} {ch.value} l={l}: {got!r} +- {est:.2e} "
+                          f"vs {want!r} +- {qerr:.2e}")
+    assert not misses, "\n".join(misses)
+
+
+@pytest.mark.parametrize("eps", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("pair", [PCPC, PCIP], ids=["pc,pc", "pc,ip"])
+def test_zero_t_large_gap_matches_quadpack(eps, pair):
+    # f lives at u below ~sqrt(2 nu)/eps, where the frequency rule puts its nodes.
+    g = Geometry.from_eps(eps, 3)
+    res = zero_T_energy(g, pair, None, TruncationPolicy(l_max_hard=200))
+    want = qerr = 0.0
+    for ch in (Channel.TE, Channel.TM):
+        kern = exact._Kernel(g, pair, ch)
+        for l in range(1, 6):  # order 6 adds below 1e-40 relative
+            nu = nu_of(l, 3)
+            weight = float(kern.degeneracy(nu)) / (2.0 * math.pi * g.a1)
+            value, err = _quad_reference(kern, nu)
+            want, qerr = want + weight * value, qerr + weight * err
+    assert abs(res.value - want) <= res.error_estimate + qerr
 
 
 # Every route shares the channel loop's failure path.
@@ -435,7 +496,8 @@ def test_thermal_correction_leading_behavior():
 
 
 def test_thermal_correction_warns_when_noise_dominates():
-    # at a1 T = 1e-3 the T^4 correction (~2e-12) sits at the quadrature noise
+    # at a1 T = 1e-3 the T^4 correction (~2e-12) sits within a decade of the
+    # rounding allowances of the two routes it subtracts
     g = Geometry.from_eps(0.1, 3)
     with pytest.warns(RuntimeWarning):
         res = thermal_correction(g, PCPC, None, 1e-3)

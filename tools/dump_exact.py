@@ -144,8 +144,8 @@ def calls():
     # Below its 8-ulp rounding allowance the classical term raises.
     yield ("classical rel_tol=1e-16 D=3 eps=0.3 bc=pc,pc", classical_term,
            (Geometry.from_eps(0.3, 3), pcpc, None, TruncationPolicy(rel_tol=1e-16)))
-    # Small gaps at the default rel_tol: the per-order quadrature share grows
-    # with the expected number of orders.
+    # Small gaps at the default rel_tol: thousands of orders, whose frequency
+    # integrals' estimates add up inside the tolerance.
     yield ("zeroT rel_tol=1e-9 D=3 eps=0.05 bc=pc,ip", zero_T_energy,
            (Geometry.from_eps(0.05, 3), BoundaryPair.from_string("pc,ip")))
     yield ("zeroT rel_tol=1e-9 D=3 eps=0.01 bc=pc,pc ch=TE", zero_T_energy,
@@ -153,6 +153,11 @@ def calls():
     # At D = 4 the first order is nu = 2, whose integrand reaches K at small z.
     yield ("zeroT rel_tol=1e-9 D=4 eps=0.3 bc=pc,pc", zero_T_energy,
            (Geometry.from_eps(0.3, 4), pcpc))
+    # Large gaps: f lives at u below ~sqrt(2 nu)/eps, far below u = 1.
+    for eps, bc in itertools.product(("1e4", "1e8"), ("pc,pc", "pc,ip")):
+        yield (f"zeroT l_max_hard=200 D=3 eps={eps} bc={bc}", zero_T_energy,
+               (Geometry.from_eps(float(eps), 3), BoundaryPair.from_string(bc), None,
+                TruncationPolicy(l_max_hard=200)))
 
 
 def cli_runs():

@@ -23,9 +23,13 @@ small-z series when kve overflows (tiny z only); any other AMOS failure
 
 _uniform_series gives (w, E, O), also for the Robin series
 a_k = v_k + (alpha/beta) t u_{k-1}; eta follows from w through
-debye.eta_from_w.  The exact module builds ln M_l from it in ratio form,
-where the sqrt(nu) and w prefactors of I and K cancel and the two spheres'
-w values give the decay exponent.
+debye.eta_from_w.  It is the one function here that takes a numpy array of
+z as well as a float: the a_k are one float coefficient matrix per ratio,
+built once, which each call folds with its order's 1/nu^k into one even and
+one odd polynomial.  The exact module builds ln M_l from it in ratio form,
+on an array of frequencies at nu >= 50, where the sqrt(nu) and w prefactors
+of I and K cancel and the two spheres' w values give the decay exponent.
+log_bessel_i, log_bessel_k and robin_combination take floats.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
@@ -48,8 +52,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, Optional
 
+import numpy as np
 from scipy import special as _sp
 
 from .debye import MAX_ORDER, debye_u, debye_v, eta_from_w
@@ -65,6 +70,9 @@ _SERIES_MAX_Z = 30.0
 _DEBYE_MIN_NU = 50.0
 _UNIFORM_MIN_Z = 1e8
 _CANCEL_DIGITS = 6.0
+# Orders k of the uniform series, and the powers s^j, j >= 1, of its polynomials in s = t^2.
+_ORDERS = np.arange(1.0, MAX_ORDER + 1.0)
+_POWERS = np.arange(1.0, 3 * MAX_ORDER // 2 + 1.0)
 
 
 def _check_args(nu: float, z: float) -> None:
@@ -109,33 +117,42 @@ def _log_k_smallz(nu: float, z: float) -> float:
     return math.lgamma(nu) - math.log(2.0) - nu * math.log(0.5 * z) + math.log(s)
 
 
-@lru_cache(maxsize=64)
-def _series_terms(ratio) -> tuple:
-    """The polynomials a_1 .. a_MAX_ORDER of _uniform_series."""
-    if ratio is None:
-        return tuple(debye_u(k) for k in range(1, MAX_ORDER + 1))
-    return tuple(debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
-                 for k in range(1, MAX_ORDER + 1))
+@lru_cache(maxsize=None)
+def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Float coefficients of a_1 .. a_MAX_ORDER of _uniform_series, by parity.
+
+    a_k(t) has the parity of k: row i of the even matrix holds the
+    coefficients of t^0, t^2, .. t^(3 MAX_ORDER) in a_(2i+2), and row i of
+    the odd one those of t^1, t^3, .. in a_(2i+1), so column j multiplies s^j,
+    s = t^2 (times t in the odd rows).  Built once per ratio, in exact
+    rational arithmetic.
+    """
+    rows = []
+    for k in range(1, MAX_ORDER + 1):
+        a = debye_u(k) if ratio is None else \
+            debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
+        rows.append([float(a.coefficient(j)) for j in range(k % 2, 3 * MAX_ORDER + 1, 2)])
+    return np.array(rows[1::2]), np.array(rows[0::2])
 
 
-def _uniform_series(nu: float, z: float, ratio=None) -> tuple[float, float, float]:
+def _uniform_series(nu: float, z, ratio: Optional[float] = None):
     """(w, E, O) of the uniform expansion (module docstring) at nu, z.
 
     E and O are the even- and odd-order parts of sum_k a_k(1/w)/nu^k, with
     a_k = u_k for ``ratio`` None (I and K) and a_k = v_k + ratio*t*u_{k-1}
     for alpha*B + beta*z*B', ratio = alpha/beta.  The I-type series is
-    1 + E + O, the K-type one 1 + E - O.
+    1 + E + O, the K-type one 1 + E - O.  ``z`` is a float or an array: the
+    order's 1/nu^k fold the coefficient matrices into one even polynomial in
+    s = t^2 and one odd one, scored on the powers of s of every z at once.
     """
-    w = math.hypot(1.0, z / nu)
+    even_rows, odd_rows = _coefficients(ratio)
+    inv = nu ** -_ORDERS
+    c_even, c_odd = inv[1::2] @ even_rows, inv[0::2] @ odd_rows
+    w = np.hypot(1.0, z / nu)
     t = 1.0 / w
-    even = odd = 0.0
-    fac = 1.0
-    for k, a in enumerate(_series_terms(ratio), 1):
-        fac /= nu
-        if k % 2:
-            odd += a(t) * fac
-        else:
-            even += a(t) * fac
+    powers = np.asarray(t * t)[..., None] ** _POWERS
+    even = c_even[0] + (powers * c_even[1:]).sum(-1)
+    odd = t * (c_odd[0] + (powers[..., :-1] * c_odd[1:]).sum(-1))
     return w, even, odd
 
 

@@ -9,8 +9,9 @@ and the coefficient polynomials u_k(t), v_k(t) obey the classical recursions
     u_0 = 1,  u_k = t^2(1-t^2)/2 * u_{k-1}' + 1/8 * int_0^t (1-5 s^2) u_{k-1}(s) ds,
     v_0 = 1,  v_k = u_k - t^2(1-t^2) u_{k-1}' - t(1-t^2)/2 * u_{k-1}.
 
-The Bessel module sums u_k and v_k + alpha t u_{k-1} directly through
-MAX_ORDER.  The small-gap series need only the order-one terms of the logs of
+The Bessel module sums u_k and v_k + alpha t u_{k-1} through MAX_ORDER, from
+one float coefficient matrix per alpha.  The small-gap series need only the
+order-one terms of the logs of
 those sums, the closed forms
 
     D_1 = u_1,   M_{1,alpha} = v_1 + alpha t,

@@ -11,7 +11,12 @@ K_nu at the two radii; at T = 0 the sum over p becomes the integral
 
 each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
-channel's f is one _Kernel, evaluated at any real order nu.  One channel
+channel's f is one _Kernel, evaluated at any real order nu; at nu >= 50,
+where the uniform expansion gives M in ratio form, its f, log_m and
+decay_rate also take a numpy array of u, and both per-order walks (the
+frequency integral's nodes and the Matsubara frequencies) score a block of
+points per call there.  Below nu = 50 they score one point per call through
+the Robin combinations, as a block would waste evaluations.  One channel
 loop, _by_channel, runs every route and aggregates failures; under it the
 classical term sums numpy blocks of l, and the other routes sum one l at a
 time (_l_by_l), each with its stop rule.  free_energy and zero_T_energy stop
@@ -52,6 +57,11 @@ _CONSECUTIVE_SMALL = 5  # l-blocks below tolerance required before stopping
 _CLASSICAL_BLOCK = 65536  # orders per numpy block of the classical term
 _DE_STEP = 0.1  # step h in t of the frequency integral's trapezoid rule
 _DE_CUT = 1e-17  # each side of the t-walk stops at |F| <= _DE_CUT * max|F|
+_DE_BLOCK = 40  # t-nodes per side and kernel call at nu >= 50, where a side takes 24-37
+# Matsubara frequencies per kernel call at nu >= 50: few in the first call, as at
+# high T an order stops after one or two, then _P_BLOCK per call.
+_P_FIRST = 4
+_P_BLOCK = 32
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
@@ -91,7 +101,7 @@ class _Kernel:
         a2c = bc_coefficients(channel, bc_pair.outer, geometry.dim)
         self.ab1 = (float(a1c[0]), float(a1c[1]))
         self.ab2 = (float(a2c[0]), float(a2c[1]))
-        self.ratios = tuple(None if c[1] == 0 else c[0] / c[1] for c in (a1c, a2c))
+        self.ratios = tuple(None if c[1] == 0 else float(c[0] / c[1]) for c in (a1c, a2c))
         self.homog = bc_pair.is_homogeneous
         self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
 
@@ -108,8 +118,8 @@ class _Kernel:
         pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
         return np.log1p(-pref * np.exp(s))
 
-    def log_m(self, nu: float, u: float) -> tuple[int, float]:
-        """(sign, ln|M|) at order nu and u = a1 * xi > 0."""
+    def log_m(self, nu: float, u):
+        """(sign, ln|M|) at order nu and u = a1 * xi > 0; at nu >= 50 ``u`` may be an array."""
         u2 = self.r21 * u
         if nu >= _DEBYE_MIN_NU:
             # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
@@ -117,8 +127,8 @@ class _Kernel:
             # and a mixed pair (one sphere with beta = 0) makes M negative.
             w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
             w2, e2, o2 = _uniform_series(nu, u2, self.ratios[1])
-            log_m = (-self._exponent(nu, w1, w2) + (math.log1p(e1 + o1) - math.log1p(e1 - o1))
-                     - (math.log1p(e2 + o2) - math.log1p(e2 - o2)))
+            log_m = (-self._exponent(nu, w1, w2) + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
+                     - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
             return (1 if self.homog else -1), log_m
         a1, b1 = self.ab1
         a2, b2 = self.ab2
@@ -129,19 +139,23 @@ class _Kernel:
         return (i1.sign * k2.sign * i2.sign * k1.sign,
                 (i1.log + k2.log) - (i2.log + k1.log))
 
-    def f(self, nu: float, u: float) -> float:
-        """f at order nu and u = a1 * xi >= 0; u = 0 gives f0."""
-        if u <= 0.0:
-            return float(self.f0(nu))
+    def f(self, nu: float, u):
+        """f at order nu and u = a1 * xi > 0; at nu >= 50 ``u`` may be an array."""
+        if nu >= _DEBYE_MIN_NU:
+            return _log_one_minus_array(*self.log_m(nu, u))
         return _log_one_minus(*self.log_m(nu, u))
 
-    def _exponent(self, nu: float, w1: float, w2: float) -> float:
+    def _exponent(self, nu: float, w1, w2):
         """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
-        return 2.0 * nu * (w2 - w1 + math.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
+        return 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
 
-    def decay_rate(self, nu: float, u: float) -> float:
-        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u."""
-        w1, w2 = math.hypot(1.0, u / nu), math.hypot(1.0, self.r21 * u / nu)
+    def decay_rate(self, nu: float, u):
+        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u.
+
+        ``u`` is a float, or an array at nu >= 50, where numpy scores it.
+        """
+        hypot = np.hypot if nu >= _DEBYE_MIN_NU else math.hypot
+        w1, w2 = hypot(1.0, u / nu), hypot(1.0, self.r21 * u / nu)
         return 2.0 * nu * (w2 - w1) / u
 
 
@@ -166,6 +180,31 @@ def _log_one_minus(sign: int, log: float) -> float:
     return math.log1p(-math.exp(log))
 
 
+def _log_one_minus_array(sign: int, log):
+    """_log_one_minus for one sign and an array (or float) of logs, element by element.
+
+    Each element takes the scalar form's branch; the branch not taken may
+    overflow or meet log(0) unseen, under np.errstate, and np.where drops it.
+    A float in gives a numpy float out (the ``[()]``).  The scalar form stays
+    for the one-point calls below nu = 50, where numpy's per-call cost would
+    outweigh the Robin combinations.
+    """
+    log = np.asarray(log, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if sign < 0:
+            return np.where(log > 35.0, log + np.log1p(np.exp(-log)),
+                            np.log1p(np.exp(log)))[()]
+        one_minus = -np.expm1(log)
+        if np.any(log >= 0.0):
+            raise PrecisionLossError("reflection coefficient reached 1 within float "
+                                     f"resolution (log={np.max(log)})")
+        near_one = log > _LOG1MEXP_SWITCH
+        if np.any(near_one & (one_minus < 1e-12)):
+            raise PrecisionLossError("1 - M underflowed the supported relative tolerance "
+                                     f"({np.min(one_minus)})")
+        return np.where(near_one, np.log(one_minus), np.log1p(-np.exp(log)))[()]
+
+
 def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
             channel: Channel, xi: float) -> float:
     """The reflection-coefficient product M_l at imaginary frequency xi > 0."""
@@ -182,7 +221,8 @@ def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     if not 0.0 <= xi < math.inf:
         raise ValueError(f"xi must be finite and >= 0, got {xi}")
     nu = nu_of(l, geometry.dim)
-    return _Kernel(geometry, bc_pair, channel).f(nu, geometry.a1 * xi)
+    kern, u = _Kernel(geometry, bc_pair, channel), geometry.a1 * xi
+    return float(kern.f0(nu) if u <= 0.0 else kern.f(nu, u))
 
 
 def _l_tail_bound(term: float, nu_val: float, power: float, alpha: float) -> float:
@@ -343,25 +383,34 @@ def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
 
 def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                      p_max: int) -> tuple[float, float, int]:
-    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound."""
+    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound.
+
+    Below nu = 50 the kernel scores one frequency per call; at nu >= 50 it
+    scores _P_FIRST of them in the first call and _P_BLOCK in each later one,
+    and the Kahan sum and tail test still run one p at a time, so a block
+    changes neither the sum nor the p where it stops.
+    """
     du = 2.0 * math.pi * a1T
     acc = _Kahan()
-    acc.add(0.5 * kern.f(nu, 0.0))
+    acc.add(0.5 * float(kern.f0(nu)))
     p = 1
     while True:
-        u = du * p
-        fv = kern.f(nu, u)
-        acc.add(fv)
-        rate = kern.decay_rate(nu, u)
-        r = math.exp(-rate * du)
-        tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
-        if tail < rel_tol * max(abs(acc.value), 1e-300):
-            break
-        if p >= p_max:
-            raise NonConvergenceError(
-                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
-        p += 1
-    return acc.value, tail, p
+        if nu >= _DEBYE_MIN_NU:
+            u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
+            values, rates = kern.f(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
+        else:
+            u = du * p
+            values, rates = (kern.f(nu, u),), (kern.decay_rate(nu, u),)
+        for fv, rate in zip(values, rates):
+            acc.add(fv)
+            r = math.exp(-rate * du)
+            tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
+            if tail < rel_tol * max(abs(acc.value), 1e-300):
+                return acc.value, tail, p
+            if p >= p_max:
+                raise NonConvergenceError(
+                    f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
+            p += 1
 
 
 def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
@@ -383,20 +432,22 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
     return _certified(res, policy)
 
 
-def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
-    """int_0^infty f(nu, u) du and its error estimate, by one fixed-step rule.
+def _de_values(kern: _Kernel, nu: float, c: float, ks: np.ndarray) -> np.ndarray:
+    """F(t) = u'(t) f(nu, u(t)) at t = k h for the integers ``ks``, u = c exp(t - e^-t).
 
-    The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
-    Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
-    q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
-    from t = 0 on each side, the right one to t >= 1 at least, and stops at
-    the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
-    where f is 0, adds 0.  The estimate is d1^2/d2 from the sums at 2h and
-    4h on the same nodes, plus a rounding allowance that grows with nu, as
-    the kernel's exponent 2 nu w loses digits in proportion.
+    One array call of the kernel, at nu >= 50.  A node where u underflows is 0.
     """
-    q = 1.0 / (kern.r21 * kern.r21 - 1.0)
-    c = min(nu, math.sqrt(q * (2.0 * nu + q)))
+    t = ks * _DE_STEP
+    e = np.exp(-t)
+    u = c * np.exp(t - e)
+    live = u > 0.0
+    values = np.zeros_like(u)
+    values[live] = u[live] * (1.0 + e[live]) * kern.f(nu, u[live])
+    return values
+
+
+def _de_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
+    """The nodes {k: F(k h)} of _zero_t_integral's walk, one kernel call per node."""
     nodes: dict[int, float] = {}
     peak = 0.0
     for step in (1, -1):
@@ -410,6 +461,54 @@ def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
             if abs(fk) <= _DE_CUT * peak and (step < 0 or t >= 1.0):
                 break
             k += step
+    return nodes
+
+
+def _de_block_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
+    """The nodes of _de_walk at nu >= 50, scored _DE_BLOCK per side and kernel call.
+
+    The first call takes both sides.  On each block the running maximum
+    finds the node where the one-node walk stops; the nodes past it are
+    dropped, and a side that has not stopped is scored one block further.
+    """
+    first = _de_values(kern, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
+    nodes: dict[int, float] = {}
+    peak = 0.0
+    for step, block in ((1, first[_DE_BLOCK:]), (-1, first[_DE_BLOCK - 1::-1])):
+        k = 0 if step > 0 else -1
+        while True:
+            ks = k + step * np.arange(_DE_BLOCK)
+            size = np.abs(block)
+            running = np.maximum.accumulate(np.maximum(size, peak))
+            stops = np.flatnonzero((size <= _DE_CUT * running)
+                                   & ((step < 0) | (ks * _DE_STEP >= 1.0)))
+            n = stops[0] + 1 if stops.size else _DE_BLOCK
+            nodes.update(zip(ks[:n].tolist(), block[:n].tolist()))
+            peak = float(running[n - 1])
+            if stops.size:
+                break
+            k += step * _DE_BLOCK
+            block = _de_values(kern, nu, c, k + step * np.arange(_DE_BLOCK))
+    return nodes
+
+
+def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
+    """int_0^infty f(nu, u) du and its error estimate, by one fixed-step rule.
+
+    The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
+    Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
+    q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
+    from t = 0 on each side, the right one to t >= 1 at least, and stops at
+    the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
+    where f is 0, adds 0.  Below nu = 50 it scores one node per kernel call
+    (_de_walk), at nu >= 50 a block of nodes (_de_block_walk), with the same
+    nodes.  The estimate is d1^2/d2 from the sums at 2h and 4h on the same
+    nodes, plus a rounding allowance that grows with nu, as the kernel's
+    exponent 2 nu w loses digits in proportion.
+    """
+    q = 1.0 / (kern.r21 * kern.r21 - 1.0)
+    c = min(nu, math.sqrt(q * (2.0 * nu + q)))
+    nodes = (_de_block_walk if nu >= _DEBYE_MIN_NU else _de_walk)(kern, nu, c)
     s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(v for k, v in nodes.items() if k % m == 0)
                        for m in (1, 2, 4))
     d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)

@@ -1,6 +1,7 @@
 """Smoke test: the demos that print the Debye polynomials, the degeneracy
-polynomials and the high-temperature series run to completion, and every
-name a demo, tool or perfbench script takes from the library exists."""
+polynomials, the zero-temperature energies and the high-temperature series
+run to completion, and every name a demo, tool or perfbench script takes
+from the library exists."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", ["01_special_functions.py", "02_mode_degeneracies.py",
+                                    "03_zero_temperature.py",
                                     "04_high_temperature_classical.py"])
 def test_demo_runs(script):
     env = dict(os.environ)
@@ -71,7 +73,7 @@ SCRIPTS = sorted(p.relative_to(ROOT).as_posix() for d in ("demos", "tools", "per
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_imports_resolve(script):
-    # Demos 03, 05 and 06 take seconds each and are not run here, so a name the
+    # Demos 05 and 06 take seconds each and are not run here, so a name the
     # library drops would break them silently; perfbench imports private modules.
     for dotted in _imported_names(ROOT / script):
         try:

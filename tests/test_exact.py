@@ -3,6 +3,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
@@ -123,6 +124,37 @@ def test_f_precision_loss_for_touching_spheres():
     g = Geometry(1.0, 1.0 + 5e-14, 3)
     with pytest.raises(PrecisionLossError):
         f_l(1, g, PCPC, Channel.TE, 1.0)
+
+
+def test_array_kernel_raises_on_one_bad_node():
+    # at nu >= 50 a block with one node where 1 - M < 1e-12 raises, as that node alone does
+    g = Geometry(1.0, 1.0 + 5e-15, 3)
+    with pytest.raises(PrecisionLossError):
+        f_l(60, g, PCPC, Channel.TE, 1.0)
+    kern = exact._Kernel(g, PCPC, Channel.TE)
+    assert np.all(np.isfinite(kern.f(60.5, np.array([1e16, 1e17, 1e18]))))
+    with pytest.raises(PrecisionLossError):
+        kern.f(60.5, np.array([1e16, 1e17, 1.0, 1e18]))
+
+
+def test_log_one_minus_array_form_matches_scalar_form():
+    # both branches of each sign, the log > 35 guard past exp's overflow, and M -> 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sign, logs in ((-1, np.r_[np.linspace(-800.0, 800.0, 801), 35.0, 710.0, -np.inf]),
+                           (1, np.r_[-np.logspace(-11.0, 3.0, 801), -0.693, -np.inf])):
+            got = exact._log_one_minus_array(sign, logs)
+            want = [exact._log_one_minus(sign, float(x)) for x in logs]
+            assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+        with pytest.raises(PrecisionLossError):
+            exact._log_one_minus_array(1, np.array([-1.0, 0.0]))
+
+
+@pytest.mark.parametrize("eps,pair", [(0.05, PCIP), (1e8, PCPC)], ids=["pc,ip", "pc,pc"])
+def test_zero_t_energy_emits_no_numpy_warning(eps, pair):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero_T_energy(Geometry.from_eps(eps, 3), pair, None, FAST)
 
 
 @pytest.mark.parametrize("dim", [3, 16])
@@ -448,15 +480,44 @@ def test_partial_is_energy_of_completed_l_terms():
 
 
 def test_failure_carries_completed_counts():
-    # l_used is the last l in partial; p_used the largest p reached, the cap included
-    g = Geometry.from_eps(0.5, 3)
-    with pytest.raises(NonConvergenceError) as info:
-        free_energy(g, PCPC, Channel.TE, 0.1, TruncationPolicy(p_max_hard=45))
-    assert (info.value.l_used, info.value.p_used) == (8, 45)
+    # l_used is the last l in partial; p_used the largest p reached, the cap included.
+    # At eps = 0.1 the caps fall at nu >= 50, inside a block of frequencies.
+    for eps, T, p_max_hard, counts in ((0.5, 0.1, 45, (8, 45)), (0.1, 0.5, 49, (54, 49)),
+                                        (0.1, 0.5, 55, (85, 55)), (0.1, 0.5, 63, (131, 63))):
+        with pytest.raises(NonConvergenceError) as info:
+            free_energy(Geometry.from_eps(eps, 3), PCPC, Channel.TE, T,
+                        TruncationPolicy(p_max_hard=p_max_hard))
+        assert (info.value.l_used, info.value.p_used) == counts
     with pytest.raises(NonConvergenceError) as info:
         zero_T_energy(Geometry.from_eps(0.1, 3), PCPC, None,
                       TruncationPolicy(rel_tol=1e-6, l_max_hard=3))
     assert (info.value.l_used, info.value.p_used) == (3, 0)
+
+
+@pytest.mark.parametrize("width", [1, 7])
+def test_blocks_change_no_result(monkeypatch, width):
+    # scoring nu >= 50 one node or frequency per call, or a few, gives the same
+    # results and counts: p_used 64 is reached at nu >= 50, and the cap of 55
+    # fails at l = 85
+    g = Geometry.from_eps(0.1, 3)
+
+    def run():
+        free = free_energy(g, PCPC, Channel.TE, 0.5)
+        with pytest.raises(NonConvergenceError) as capped:
+            free_energy(g, PCPC, Channel.TE, 0.5, TruncationPolicy(p_max_hard=55))
+        kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
+        integrals = [exact._zero_t_integral(kern, nu) for nu in (50.5, 61.5, 300.5)]
+        return free, (capped.value.partial, capped.value.l_used, capped.value.p_used), integrals
+
+    blocked = run()
+    assert (blocked[0].l_used, blocked[0].p_used) == (135, 64)
+    kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
+    for c in (0.5, 5.0, 50.0):
+        assert exact._de_block_walk(kern, 60.5, c).keys() == exact._de_walk(kern, 60.5, c).keys()
+    monkeypatch.setattr(exact, "_P_FIRST", width)
+    monkeypatch.setattr(exact, "_P_BLOCK", width)
+    monkeypatch.setattr(exact, "_DE_BLOCK", width)
+    assert run() == blocked
 
 
 def test_partial_keeps_finished_channels():

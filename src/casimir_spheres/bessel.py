@@ -23,13 +23,19 @@ small-z series when kve overflows (tiny z only); any other AMOS failure
 
 _uniform_series gives (w, E, O), also for the Robin series
 a_k = v_k + (alpha/beta) t u_{k-1}; eta follows from w through
-debye.eta_from_w.  It is the one function here that takes a numpy array of
-z as well as a float: the a_k are one float coefficient matrix per ratio,
-built once, which each call folds with its order's 1/nu^k into one even and
-one odd polynomial.  The exact module builds ln M_l from it in ratio form,
-on an array of frequencies at nu >= 50, where the sqrt(nu) and w prefactors
-of I and K cancel and the two spheres' w values give the decay exponent.
-log_bessel_i, log_bessel_k and robin_combination take floats.
+debye.eta_from_w.  It takes a numpy array of z as well as a float: the a_k
+are one float coefficient matrix per ratio, built once, which each call
+folds with its order's 1/nu^k into one even and one odd polynomial.  The
+exact module builds ln M_l from it in ratio form, on an array of frequencies
+at nu >= 50, where the sqrt(nu) and w prefactors of I and K cancel and the
+two spheres' w values give the decay exponent.
+
+Below nu = 50 the exact module scores ln M_l from robin_combination, which
+also takes an array of z: each element takes the branch log_bessel_i/k
+would take for it, the series (summed in the scalar loop's order, with its
+own stop) and AMOS on the masked elements at once, the uniform branch (rare
+there) through the public scalar functions one element at a time.
+log_bessel_i and log_bessel_k take floats.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
@@ -75,46 +81,60 @@ _ORDERS = np.arange(1.0, MAX_ORDER + 1.0)
 _POWERS = np.arange(1.0, 3 * MAX_ORDER // 2 + 1.0)
 
 
-def _check_args(nu: float, z: float) -> None:
+def _check_args(nu: float, z) -> None:
     if not (nu >= 0.0 and math.isfinite(nu)):
         raise ValueError(f"order must be finite and >= 0, got {nu}")
-    if not (z > 0.0 and math.isfinite(z)):
+    if not ((z > 0.0) & np.isfinite(z)).all():
         raise ValueError(f"argument must be finite and > 0, got {z}")
 
 
-def _log_i_series(nu: float, z: float) -> float:
-    # I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k), q = z^2/4
-    q = 0.25 * z * z
-    s = 1.0
-    term = 1.0
-    k = 1
+def _ordered_sums(top: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms 1, r_1, r_1 r_2, .. and partial sums 1, 1 + r_1, .. of r_k = top / den_k.
+
+    One row per element of ``top``, one column per k >= 0, both formed term
+    by term as the scalar loop forms them, so no row depends on the others.
+    """
+    terms = np.empty((top.size, den.size + 1))
+    terms[:, 0] = 1.0
+    np.divide(top[:, None], den, out=terms[:, 1:])
+    np.multiply.accumulate(terms, axis=1, out=terms)
+    return terms, np.add.accumulate(terms, axis=1)
+
+
+def _log_i_series(nu: float, z):
+    # I_nu(z) = (z/2)^nu / Gamma(nu+1) * sum_k q^k / (k! (nu+1)_k), q = z^2/4.
+    # The scalar loop stops at its first term below 1e-18 of the sum; past it
+    # the terms fall and each is below half an ulp of the sum, so the last
+    # partial sum equals the sum at that stop exactly.
+    z = np.asarray(z, dtype=float)
+    q = (0.25 * z * z).ravel()
+    n = 16 + int(2.0 * math.sqrt(float(q.max(initial=0.0))))
     while True:
-        term *= q / (k * (nu + k))
-        s += term
-        if term < 1e-18 * s:
+        k = np.arange(1.0, n + 1.0)
+        terms, sums = _ordered_sums(q, k * (nu + k))
+        if (terms[:, -1] < 1e-18 * sums[:, -1]).all():
             break
-        k += 1
-        if k > 500:  # unreachable for z <= 30
+        if n >= 512:  # unreachable in the series window
             raise ArithmeticError("I series failed to converge")
-    return nu * math.log(0.5 * z) - math.lgamma(nu + 1.0) + math.log(s)
+        n = min(2 * n, 512)
+    s = sums[:, -1].reshape(z.shape)
+    return (nu * np.log(0.5 * z) - math.lgamma(nu + 1.0) + np.log(s))[()]
 
 
-def _log_k_smallz(nu: float, z: float) -> float:
+def _log_k_smallz(nu: float, z):
     # K_nu(z) ~ Gamma(nu)/2 * (z/2)^-nu * sum_k (-q)^k / (k! (nu-1)(nu-2)...(nu-k)),
     # truncated before the crossing term (z/2)^{2 nu}; used only where that
     # term (below e^-40) and the truncation error are both below ~1e-16 relative.
-    q = 0.25 * z * z
-    s = 1.0
-    term = 1.0
-    for k in range(1, 7):
-        den = nu - k
-        if den <= 0.0:
-            break
-        term *= -q / (k * den)
-        s += term
-        if abs(term) < 1e-18:
-            break
-    return math.lgamma(nu) - math.log(2.0) - nu * math.log(0.5 * z) + math.log(s)
+    # At most six terms, each with nu - k > 0; an element stops at its first
+    # term below 1e-18 in magnitude, or after the last.
+    z = np.asarray(z, dtype=float)
+    k = np.arange(1.0, 7.0)
+    k = k[nu - k > 0.0]
+    terms, sums = _ordered_sums(-(0.25 * z * z).ravel(), k * (nu - k))
+    small = np.abs(terms) < 1e-18
+    small[:, -1] = True
+    s = sums[np.arange(z.size), small.argmax(1)].reshape(z.shape)
+    return (math.lgamma(nu) - math.log(2.0) - nu * np.log(0.5 * z) + np.log(s))[()]
 
 
 @lru_cache(maxsize=None)
@@ -168,28 +188,36 @@ def _log_k_debye(nu: float, z: float) -> float:
         - 0.5 * math.log(w) + math.log1p(even - odd)
 
 
-def _uniform(nu: float, z: float) -> bool:
-    """Whether the uniform branch answers: nu >= 50, or nu > 0 and z >= 1e8."""
-    return nu >= _DEBYE_MIN_NU or (nu > 0.0 and z >= _UNIFORM_MIN_Z)
+def _uniform(nu: float, z):
+    """Whether the uniform branch answers: nu >= 50, or nu > 0 and z >= 1e8 (per element)."""
+    return (nu >= _DEBYE_MIN_NU) | ((nu > 0.0) & (z >= _UNIFORM_MIN_Z))
 
 
-def _log_amos(v: float, nu: float, z: float) -> float:
-    """ln of a scaled AMOS value, or ArithmeticError if AMOS failed."""
-    if not 0.0 < v < math.inf:
+def _i_series_window(nu: float, z):
+    # The ascending series is cancellation free and converges in O(z) terms;
+    # the z^2 <= 100 (nu+1) window keeps its internal sum below e^25.
+    return (z <= _SERIES_MAX_Z) | (z * z <= 100.0 * (nu + 1.0))
+
+
+def _k_series_window(nu: float, z):
+    return (nu >= 2.0) & (z * z <= 4e-5 * (nu - 1.0)) & (nu * np.log(2.0 / z) >= 20.0)
+
+
+def _log_amos(v, nu: float, z):
+    """ln of scaled AMOS values, or ArithmeticError if AMOS failed for any of them."""
+    if not ((0.0 < v) & (v < math.inf)).all():
         raise ArithmeticError(f"AMOS evaluation failed for nu={nu}, z={z} (got {v})")
-    return math.log(v)
+    return np.log(v)
 
 
 def log_bessel_i(nu: float, z: float) -> float:
     """ln I_nu(z) for nu >= 0, z > 0."""
     _check_args(nu, z)
-    # The ascending series is cancellation free and converges in O(z) terms;
-    # the z^2 <= 100 (nu+1) window keeps its internal sum below e^25.
-    if z <= _SERIES_MAX_Z or z * z <= 100.0 * (nu + 1.0):
-        return _log_i_series(nu, z)
+    if _i_series_window(nu, z):
+        return float(_log_i_series(nu, z))
     if _uniform(nu, z):
         return _log_i_debye(nu, z)
-    return _log_amos(_sp.ive(nu, z), nu, z) + z
+    return float(_log_amos(_sp.ive(nu, z), nu, z) + z)
 
 
 def log_bessel_k(nu: float, z: float) -> float:
@@ -197,12 +225,58 @@ def log_bessel_k(nu: float, z: float) -> float:
     _check_args(nu, z)
     if _uniform(nu, z):
         return _log_k_debye(nu, z)
-    if nu >= 2.0 and z * z <= 4e-5 * (nu - 1.0) and nu * math.log(2.0 / z) >= 20.0:
-        return _log_k_smallz(nu, z)
+    if _k_series_window(nu, z):
+        return float(_log_k_smallz(nu, z))
     v = _sp.kve(nu, z)
     if math.isinf(v) and nu >= 1.5:  # overflow: tiny z only
-        return _log_k_smallz(nu, z)
-    return _log_amos(v, nu, z) - z
+        return float(_log_k_smallz(nu, z))
+    return float(_log_amos(v, nu, z) - z)
+
+
+def _log_bessel_array(kind: str, nu: float, z: np.ndarray) -> np.ndarray:
+    """ln I_nu (kind "I") or ln K_nu at a 1-d array of z, each element on the
+    branch log_bessel_i/k takes for it.
+
+    Each branch answers on an interval of z, so the smallest and largest z
+    show when one branch takes every element, as it mostly does.  Otherwise
+    the series and AMOS branches, and K's small-z series where kve
+    overflows, are scored on their elements at once, and elements on the
+    uniform branch (rare here: the neighbouring order nu + 1 >= 50, or
+    z >= 1e8) go through the public scalar function one at a time.
+    """
+    lo, hi = float(z.min()), float(z.max())
+    if kind == "I":
+        if _i_series_window(nu, hi):
+            return _log_i_series(nu, z)
+        if not (_i_series_window(nu, lo) or _uniform(nu, hi)):
+            return _log_amos(_sp.ive(nu, z), nu, z) + z
+        series = _i_series_window(nu, z)
+        uniform = _uniform(nu, z) & ~series
+    else:
+        if not (_uniform(nu, hi) or _k_series_window(nu, lo)):
+            v = _sp.kve(nu, z)
+            if nu < 1.5 or v.max() < math.inf:
+                return _log_amos(v, nu, z) - z
+        uniform = _uniform(nu, z)
+        series = _k_series_window(nu, z) & ~uniform
+    out = np.empty_like(z)
+    amos = ~(series | uniform)
+    if amos.any():
+        zr = z[amos]
+        if kind == "I":
+            out[amos] = _log_amos(_sp.ive(nu, zr), nu, zr) + zr
+        else:
+            v = _sp.kve(nu, zr)
+            over = np.isinf(v) & (nu >= 1.5)  # overflow: tiny z only
+            series[np.flatnonzero(amos)[over]] = True
+            amos[amos] = ~over
+            out[amos] = _log_amos(v[~over], nu, zr[~over]) - zr[~over]
+    if series.any():
+        out[series] = (_log_i_series if kind == "I" else _log_k_smallz)(nu, z[series])
+    if uniform.any():
+        scalar = log_bessel_i if kind == "I" else log_bessel_k
+        out[uniform] = [scalar(nu, x) for x in z[uniform].tolist()]
+    return out
 
 
 def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> SignedLog:
@@ -223,28 +297,46 @@ def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> 
         return SignedLog(int(mp.sign(comb)), float(mp.log(abs(comb))))
 
 
-def robin_combination(
-    alpha: float, beta: float, nu: float, z: float, kind: Literal["I", "K"]
-) -> SignedLog:
-    """alpha*B_nu(z) + beta*z*B'_nu(z) as a SignedLog, B in {I, K}.
+def robin_combination(alpha: float, beta: float, nu: float, z,
+                      kind: Literal["I", "K"]) -> SignedLog:
+    """alpha*B_nu(z) + beta*z*B'_nu(z) as a SignedLog, B in {I, K}; z a float or an array.
 
     B_nu times the factor s = c + t of the module docstring, from one
-    derivative identity per kind.  The sign of the result is exact.  A factor
-    losing more than six decimal digits to cancellation is recomputed at 50
-    significant digits.
+    derivative identity per kind.  The sign of the result is exact.  An
+    element whose factor loses more than six decimal digits to cancellation,
+    or vanishes in floats (c = 0 with t underflowing), is recomputed at 50
+    significant digits.  Every element takes the branches a float z would
+    take, and its value does not depend on the other elements.  A float z
+    gives an int sign and a float log, an array z two arrays of its shape.
     """
     if kind not in ("I", "K"):
         raise ValueError(f"kind must be 'I' or 'K', got {kind!r}")
     if alpha == 0.0 and beta == 0.0:
         raise ValueError("(alpha, beta) must not both vanish")
-    lb0 = log_bessel_i(nu, z) if kind == "I" else log_bessel_k(nu, z)
-    if beta == 0.0:
-        c, t = alpha, 0.0
-    elif kind == "I":
-        c, t = alpha + beta * nu, beta * z * math.exp(log_bessel_i(nu + 1.0, z) - lb0)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=float).ravel()
+    _check_args(nu, z)
+    lb0 = _log_bessel_array(kind, nu, z)
+    if beta == 0.0:  # the factor is alpha
+        sign, log = np.full(z.shape, 1 if alpha > 0.0 else -1), lb0 + math.log(abs(alpha))
+        return _signed_log(shape, sign, log)
+    if kind == "I":
+        c, t = alpha + beta * nu, beta * z * np.exp(_log_bessel_array("I", nu + 1.0, z) - lb0)
     else:
-        c, t = alpha - beta * nu, -beta * z * math.exp(log_bessel_k(abs(nu - 1.0), z) - lb0)
+        c = alpha - beta * nu
+        t = -beta * z * np.exp(_log_bessel_array("K", abs(nu - 1.0), z) - lb0)
     s = c + t
-    if abs(s) * 10.0 ** _CANCEL_DIGITS < max(abs(c), abs(t)):
-        return _robin_mpmath(alpha, beta, nu, z, kind)
-    return SignedLog(1 if s > 0 else -1, lb0 + math.log(abs(s)))
+    cancelled = np.abs(s) * 10.0 ** _CANCEL_DIGITS <= np.maximum(abs(c), np.abs(t))
+    sign, log = np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(np.where(cancelled, 1.0, s)))
+    if cancelled.any():
+        for i in np.flatnonzero(cancelled):
+            exact = _robin_mpmath(alpha, beta, nu, float(z[i]), kind)
+            sign[i], log[i] = exact.sign, exact.log
+    return _signed_log(shape, sign, log)
+
+
+def _signed_log(shape: tuple, sign: np.ndarray, log: np.ndarray) -> SignedLog:
+    """The SignedLog of 1-d results for a z of ``shape``: an int and a float for a float z."""
+    if not shape:
+        return SignedLog(int(sign[0]), float(log[0]))
+    return SignedLog(sign.reshape(shape), log.reshape(shape))

@@ -11,12 +11,11 @@ K_nu at the two radii; at T = 0 the sum over p becomes the integral
 
 each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
-channel's f is one _Kernel, evaluated at any real order nu; at nu >= 50,
-where the uniform expansion gives M in ratio form, its f, log_m and
-decay_rate also take a numpy array of u, and both per-order walks (the
-frequency integral's nodes and the Matsubara frequencies) score a block of
-points per call there.  Below nu = 50 they score one point per call through
-the Robin combinations, as a block would waste evaluations.  One channel
+channel's f is one _Kernel, evaluated at any real order nu on a numpy
+array of u: from the uniform expansion in ratio form at nu >= 50, from the
+Robin combinations below.  Both per-order walks (the frequency integral's
+nodes and the Matsubara frequencies) score a block of points per kernel
+call, with the stops, sums and counts of a one-point walk.  One channel
 loop, _by_channel, runs every route and aggregates failures; under it the
 classical term sums numpy blocks of l, and the other routes sum one l at a
 time (_l_by_l), each with its stop rule.  free_energy and zero_T_energy stop
@@ -57,11 +56,13 @@ _CONSECUTIVE_SMALL = 5  # l-blocks below tolerance required before stopping
 _CLASSICAL_BLOCK = 65536  # orders per numpy block of the classical term
 _DE_STEP = 0.1  # step h in t of the frequency integral's trapezoid rule
 _DE_CUT = 1e-17  # each side of the t-walk stops at |F| <= _DE_CUT * max|F|
-_DE_BLOCK = 40  # t-nodes per side and kernel call at nu >= 50, where a side takes 24-37
-# Matsubara frequencies per kernel call at nu >= 50: few in the first call, as at
-# high T an order stops after one or two, then _P_BLOCK per call.
-_P_FIRST = 4
-_P_BLOCK = 32
+_DE_BLOCK = 40  # t-nodes per side and kernel call, where a side takes 24-45
+# Matsubara frequencies per kernel call: _P_FIRST in the first, which ends most sums
+# at T ~ 1 (p = 5-11 at gaps 0.2-0.3) while one of one or two frequencies (T ~ 10)
+# wastes little, then _P_BLOCK per call for the long low-T sums (p = 50-300).
+# A call below nu = 50 costs about as much as 50 points.
+_P_FIRST = 12
+_P_BLOCK = 64
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
@@ -119,7 +120,7 @@ class _Kernel:
         return np.log1p(-pref * np.exp(s))
 
     def log_m(self, nu: float, u):
-        """(sign, ln|M|) at order nu and u = a1 * xi > 0; at nu >= 50 ``u`` may be an array."""
+        """(sign, ln|M|) at order nu and u = a1 * xi > 0, a float or an array."""
         u2 = self.r21 * u
         if nu >= _DEBYE_MIN_NU:
             # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
@@ -140,69 +141,44 @@ class _Kernel:
                 (i1.log + k2.log) - (i2.log + k1.log))
 
     def f(self, nu: float, u):
-        """f at order nu and u = a1 * xi > 0; at nu >= 50 ``u`` may be an array."""
-        if nu >= _DEBYE_MIN_NU:
-            return _log_one_minus_array(*self.log_m(nu, u))
-        return _log_one_minus(*self.log_m(nu, u))
+        """f at order nu and u = a1 * xi > 0, a float or an array."""
+        return _log_one_minus_array(*self.log_m(nu, u))
 
     def _exponent(self, nu: float, w1, w2):
         """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
         return 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
 
     def decay_rate(self, nu: float, u):
-        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u.
-
-        ``u`` is a float, or an array at nu >= 50, where numpy scores it.
-        """
-        hypot = np.hypot if nu >= _DEBYE_MIN_NU else math.hypot
-        w1, w2 = hypot(1.0, u / nu), hypot(1.0, self.r21 * u / nu)
+        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u."""
+        w1, w2 = np.hypot(1.0, u / nu), np.hypot(1.0, self.r21 * u / nu)
         return 2.0 * nu * (w2 - w1) / u
 
 
-def _log_one_minus(sign: int, log: float) -> float:
-    """ln(1 - M) from M = sign * exp(log), stable near M = 1 and for M < -1."""
-    if sign == 0:
-        return 0.0
-    if sign < 0:
-        # 1 + |M|: guard exp overflow for large positive logs.
-        if log > 35.0:
-            return log + math.log1p(math.exp(-log))
-        return math.log1p(math.exp(log))
-    if log >= 0.0:
-        raise PrecisionLossError(
-            f"reflection coefficient reached 1 within float resolution (log={log})")
-    if log > _LOG1MEXP_SWITCH:
-        one_minus = -math.expm1(log)
-        if one_minus < 1e-12:
-            raise PrecisionLossError(
-                f"1 - M underflowed the supported relative tolerance ({one_minus})")
-        return math.log(one_minus)
-    return math.log1p(-math.exp(log))
+def _log_one_minus_array(sign, log):
+    """ln(1 - M) from M = sign * exp(log), element by element, for arrays or floats.
 
-
-def _log_one_minus_array(sign: int, log):
-    """_log_one_minus for one sign and an array (or float) of logs, element by element.
-
-    Each element takes the scalar form's branch; the branch not taken may
-    overflow or meet log(0) unseen, under np.errstate, and np.where drops it.
-    A float in gives a numpy float out (the ``[()]``).  The scalar form stays
-    for the one-point calls below nu = 50, where numpy's per-call cost would
-    outweigh the Robin combinations.
+    ``sign`` is one sign or an array of them.  Stable near M = 1 and for
+    M < -1; raises PrecisionLossError if any element has M >= 1, or M near 1
+    with 1 - M < 1e-12.  Each element takes the form of its sign; the forms
+    are written so that the ones not taken stay finite, and np.where drops
+    them.  Floats in give a numpy float out (the ``[()]``).
     """
     log = np.asarray(log, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if sign < 0:
-            return np.where(log > 35.0, log + np.log1p(np.exp(-log)),
-                            np.log1p(np.exp(log)))[()]
-        one_minus = -np.expm1(log)
-        if np.any(log >= 0.0):
-            raise PrecisionLossError("reflection coefficient reached 1 within float "
-                                     f"resolution (log={np.max(log)})")
-        near_one = log > _LOG1MEXP_SWITCH
-        if np.any(near_one & (one_minus < 1e-12)):
-            raise PrecisionLossError("1 - M underflowed the supported relative tolerance "
-                                     f"({np.min(one_minus)})")
-        return np.where(near_one, np.log(one_minus), np.log1p(-np.exp(log)))[()]
+    positive = np.greater(sign, 0)
+    if (positive & (log >= 0.0)).any():
+        raise PrecisionLossError("reflection coefficient reached 1 within float "
+                                 f"resolution (log={np.max(log[positive & (log >= 0.0)])})")
+    # 0 < M < 1; -1 stands in for the other elements' logs
+    m_log = np.where(positive, log, -1.0)
+    one_minus = -np.expm1(m_log)
+    near_one = m_log > _LOG1MEXP_SWITCH
+    if (near_one & (one_minus < 1e-12)).any():
+        raise PrecisionLossError("1 - M underflowed the supported relative tolerance "
+                                 f"({np.min(one_minus[near_one])})")
+    minus = np.where(near_one, np.log(one_minus), np.log1p(-np.exp(m_log)))
+    # M < 0: ln(1 + |M|) in a form that cannot overflow
+    plus = np.maximum(log, 0.0) + np.log1p(np.exp(-np.abs(log)))
+    return np.where(np.less(sign, 0), plus, np.where(positive, minus, 0.0))[()]
 
 
 def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
@@ -385,22 +361,17 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                      p_max: int) -> tuple[float, float, int]:
     """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound.
 
-    Below nu = 50 the kernel scores one frequency per call; at nu >= 50 it
-    scores _P_FIRST of them in the first call and _P_BLOCK in each later one,
-    and the Kahan sum and tail test still run one p at a time, so a block
-    changes neither the sum nor the p where it stops.
+    The kernel scores _P_FIRST frequencies in the first call and _P_BLOCK in
+    each later one, and the Kahan sum and tail test still run one p at a
+    time, so a block changes neither the sum nor the p where it stops.
     """
     du = 2.0 * math.pi * a1T
     acc = _Kahan()
     acc.add(0.5 * float(kern.f0(nu)))
     p = 1
     while True:
-        if nu >= _DEBYE_MIN_NU:
-            u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
-            values, rates = kern.f(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
-        else:
-            u = du * p
-            values, rates = (kern.f(nu, u),), (kern.decay_rate(nu, u),)
+        u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
+        values, rates = kern.f(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
         for fv, rate in zip(values, rates):
             acc.add(fv)
             r = math.exp(-rate * du)
@@ -435,7 +406,7 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
 def _de_values(kern: _Kernel, nu: float, c: float, ks: np.ndarray) -> np.ndarray:
     """F(t) = u'(t) f(nu, u(t)) at t = k h for the integers ``ks``, u = c exp(t - e^-t).
 
-    One array call of the kernel, at nu >= 50.  A node where u underflows is 0.
+    One array call of the kernel.  A node where u underflows is 0.
     """
     t = ks * _DE_STEP
     e = np.exp(-t)
@@ -446,29 +417,11 @@ def _de_values(kern: _Kernel, nu: float, c: float, ks: np.ndarray) -> np.ndarray
     return values
 
 
-def _de_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
-    """The nodes {k: F(k h)} of _zero_t_integral's walk, one kernel call per node."""
-    nodes: dict[int, float] = {}
-    peak = 0.0
-    for step in (1, -1):
-        k = 0 if step > 0 else -1
-        while True:
-            t = k * _DE_STEP
-            u = c * math.exp(t - math.exp(-t))
-            fk = u * (1.0 + math.exp(-t)) * kern.f(nu, u) if u > 0.0 else 0.0
-            nodes[k] = fk
-            peak = max(peak, abs(fk))
-            if abs(fk) <= _DE_CUT * peak and (step < 0 or t >= 1.0):
-                break
-            k += step
-    return nodes
-
-
 def _de_block_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
-    """The nodes of _de_walk at nu >= 50, scored _DE_BLOCK per side and kernel call.
+    """The nodes {k: F(k h)} of _zero_t_integral's walk, _DE_BLOCK per side and kernel call.
 
     The first call takes both sides.  On each block the running maximum
-    finds the node where the one-node walk stops; the nodes past it are
+    finds the node where a one-node walk would stop; the nodes past it are
     dropped, and a side that has not stopped is scored one block further.
     """
     first = _de_values(kern, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
@@ -500,15 +453,14 @@ def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
     q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
     from t = 0 on each side, the right one to t >= 1 at least, and stops at
     the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
-    where f is 0, adds 0.  Below nu = 50 it scores one node per kernel call
-    (_de_walk), at nu >= 50 a block of nodes (_de_block_walk), with the same
-    nodes.  The estimate is d1^2/d2 from the sums at 2h and 4h on the same
-    nodes, plus a rounding allowance that grows with nu, as the kernel's
-    exponent 2 nu w loses digits in proportion.
+    where f is 0, adds 0; the kernel scores a block of nodes per call
+    (_de_block_walk).  The estimate is d1^2/d2 from the sums at 2h and 4h on
+    the same nodes, plus a rounding allowance that grows with nu, as the
+    kernel's exponent 2 nu w loses digits in proportion.
     """
     q = 1.0 / (kern.r21 * kern.r21 - 1.0)
     c = min(nu, math.sqrt(q * (2.0 * nu + q)))
-    nodes = (_de_block_walk if nu >= _DEBYE_MIN_NU else _de_walk)(kern, nu, c)
+    nodes = _de_block_walk(kern, nu, c)
     s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(v for k, v in nodes.items() if k % m == 0)
                        for m in (1, 2, 4))
     d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)

@@ -3,8 +3,9 @@
 Modified Bessel functions and their Robin combinations overflow double
 precision long before the physically relevant ratios do (orders of a few
 hundred suffice), so `bessel.robin_combination` returns its result as a sign
-together with the natural log of the magnitude.  The record carries no
-arithmetic: callers combine the logs as plain floats.
+together with the natural log of the magnitude, one pair per element of its
+argument.  The record carries no arithmetic: callers combine the logs as
+plain floats or arrays.
 """
 
 from __future__ import annotations
@@ -12,24 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["SignedLog"]
 
 
 @dataclass(frozen=True)
 class SignedLog:
-    """A real number stored as ``sign * exp(log)``.
+    """A real number, or an array of them, stored as ``sign * exp(log)``.
 
     ``sign`` is -1, 0 or +1; ``log`` is ln|value| and is -inf exactly when
-    the sign is 0.
+    the sign is 0.  Both may be numpy arrays (of one shape, or broadcast
+    against each other); every element is checked.
     """
 
     sign: int
     log: float
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if self.sign == 0 and self.log != -math.inf:
-            raise ValueError("zero value requires log == -inf")
-        if self.sign != 0 and (math.isnan(self.log) or self.log == -math.inf):
-            raise ValueError("nonzero value requires a finite or +inf log")
+        sign, log = np.asarray(self.sign), np.asarray(self.log, dtype=float)
+        # log > -inf fails for -inf and for NaN
+        valid = np.where(sign == 0, log == -math.inf, (np.abs(sign) == 1) & (log > -math.inf))
+        if not valid.all():
+            raise ValueError(f"need sign -1, 0 or +1 and log -inf exactly where the sign is 0, "
+                             f"finite or +inf elsewhere; got sign {self.sign}, log {self.log}")

@@ -9,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from casimir_spheres import (BoundaryPair, Channel, Geometry, SignedLog, debye_u, debye_v,
+from casimir_spheres import bessel
+from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel, Geometry, SignedLog,
+                             bc_coefficients, debye_u, debye_v,
                              log_bessel_i, log_bessel_k, m_ratio, robin_combination)
-from casimir_spheres.bessel import (_log_i_debye, _log_i_series, _log_k_debye,
+from casimir_spheres.bessel import (_log_i_debye, _log_i_series, _log_k_debye, _log_k_smallz,
                                     _uniform_series)
 from casimir_spheres.debye import MAX_ORDER
 
@@ -197,6 +199,110 @@ def test_robin_rejects_degenerate_input():
 
 def test_signedlog_type():
     assert isinstance(robin_combination(1.0, 0.0, 1.0, 1.0, "I"), SignedLog)
+
+
+def _robin_one_point(alpha, beta, nu, z, kind):
+    """alpha*B + beta*z*B' from the public scalar ln I/ln K in scalar math: the oracle
+    of the array form, with its cancellation rule (a factor that vanishes included)."""
+    lb = log_bessel_i if kind == "I" else log_bessel_k
+    lb0 = lb(nu, z)
+    if beta == 0.0:
+        c, t = alpha, 0.0
+    elif kind == "I":
+        c, t = alpha + beta * nu, beta * z * math.exp(log_bessel_i(nu + 1.0, z) - lb0)
+    else:
+        c, t = alpha - beta * nu, -beta * z * math.exp(log_bessel_k(abs(nu - 1.0), z) - lb0)
+    s = c + t
+    if abs(s) * 1e6 <= max(abs(c), abs(t)):
+        return bessel._robin_mpmath(alpha, beta, nu, z, kind)
+    return SignedLog(1 if s > 0 else -1, lb0 + math.log(abs(s)))
+
+
+ROBIN_PAIRS = sorted({tuple(float(x) for x in bc_coefficients(ch, bc, dim))
+                      for dim in (3, 5, 16) for ch in Channel for bc in BoundaryCondition})
+SEAM_NU = (0.5, 1.5, 2.0, 2.5, 10.5, 48.5, 49.5, float(np.nextafter(50.0, 0.0)))
+
+
+def seam_z(nu):
+    """z on and around every branch seam of ln I_nu, ln I_nu+1, ln K_nu and ln K_|nu-1|."""
+    zs = [1e-250, 1e-12, 1e-6, 29.5, 30.0, float(np.nextafter(30.0, 31.0)), 30.5,
+          75.0, 200.0, 1e8, float(np.nextafter(1e8, 0.0))]
+    for order in (nu, nu + 1.0, abs(nu - 1.0)):
+        edge = math.sqrt(100.0 * (order + 1.0))  # ln I's series window
+        zs += [edge, float(np.nextafter(edge, math.inf))]
+        if order >= 2.0:  # ln K's small-z window
+            edge = min(math.sqrt(4e-5 * (order - 1.0)), 2.0 * math.exp(-20.0 / order))
+            zs += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 1.0))]
+    return np.array(zs)
+
+
+def test_robin_array_matches_scalar_elementwise():
+    # z = 1e-250 takes the kve-overflow fallback for K_1.5 (at nu = 1.5 and 2.5)
+    assert math.isinf(bessel._sp.kve(1.5, 1e-250))
+    misses = []
+    for nu in SEAM_NU:
+        z = seam_z(nu)
+        order = np.random.default_rng(int(4 * nu)).permutation(z.size)
+        for (alpha, beta), kind in [(pair, kind) for pair in ROBIN_PAIRS for kind in "IK"]:
+            full = robin_combination(alpha, beta, nu, z, kind)
+            assert full.sign.shape == full.log.shape == z.shape
+            # permuted and split calls give the same elements
+            perm = robin_combination(alpha, beta, nu, z[order], kind)
+            assert np.array_equal(perm.sign, full.sign[order])
+            assert np.array_equal(perm.log, full.log[order])
+            halves = [robin_combination(alpha, beta, nu, part, kind)
+                      for part in (z[:5], z[5:])]
+            assert np.array_equal(np.concatenate([h.log for h in halves]), full.log)
+            for x, sign, log in zip(z.tolist(), full.sign.tolist(), full.log.tolist()):
+                one = robin_combination(alpha, beta, nu, x, kind)
+                want = _robin_one_point(alpha, beta, nu, x, kind)
+                if (one.sign, one.log) != (sign, log) or want.sign != sign or not (
+                        log == want.log or abs(log - want.log) <= 1e-14 * max(1.0, abs(want.log))):
+                    misses.append(f"{kind} nu={nu} ({alpha}, {beta}) z={x!r}: "
+                                  f"{(sign, log)} vs {(one.sign, one.log)}, {want}")
+    assert not misses, "\n".join(misses[:20])
+
+
+def test_robin_array_takes_the_mpmath_fallback_per_element(monkeypatch):
+    # alpha I_2 + z I_2' vanishes near z = 1 for this alpha; only that element is
+    # recomputed, and it equals its one-point call
+    nu = 2.0
+    alpha = -math.exp(log_bessel_i(nu + 1.0, 1.0) - log_bessel_i(nu, 1.0)) - nu + 1e-9
+    calls, original = [], bessel._robin_mpmath
+    monkeypatch.setattr(bessel, "_robin_mpmath",
+                        lambda *args: calls.append(args[3]) or original(*args))
+    z = np.array([0.5, 1.0, 2.0])
+    full = robin_combination(alpha, 1.0, nu, z, "I")
+    assert calls == [1.0]
+    for i, x in enumerate(z.tolist()):
+        one = robin_combination(alpha, 1.0, nu, x, "I")
+        assert (one.sign, one.log) == (full.sign[i], full.log[i])
+    assert full.sign[1] == 1
+
+
+def test_robin_array_sends_uniform_elements_to_the_scalar_functions(monkeypatch):
+    # below nu = 50 the uniform branch answers only for the neighbouring order
+    # nu + 1 >= 50 outside the series window, and from z = 1e8; those elements
+    # go through the public log_bessel_i/k one at a time, the others do not
+    calls = []
+    for name in ("log_bessel_i", "log_bessel_k"):
+        original = getattr(bessel, name)
+        monkeypatch.setattr(bessel, name, lambda nu, z, _o=original, _n=name:
+                            calls.append((_n, nu, z)) or _o(nu, z))
+    z = np.array([10.0, 200.0, 1e8, 300.0])
+    robin_combination(0.5, 1.0, 49.5, z, "I")
+    assert calls == [("log_bessel_i", 49.5, 1e8), ("log_bessel_i", 50.5, 200.0),
+                     ("log_bessel_i", 50.5, 1e8), ("log_bessel_i", 50.5, 300.0)]
+    calls.clear()
+    robin_combination(0.5, 1.0, 49.5, z, "K")
+    assert calls == [("log_bessel_k", 49.5, 1e8), ("log_bessel_k", 48.5, 1e8)]
+
+
+def test_robin_array_rejects_bad_elements():
+    with pytest.raises(ValueError):
+        robin_combination(1.0, 1.0, 2.5, np.array([1.0, 0.0, 2.0]), "K")
+    with pytest.raises(ValueError):
+        robin_combination(1.0, 1.0, 2.5, np.array([1.0, np.nan]), "I")
 
 
 # Dense grid of the uniform (Debye, nu >= 50) branch; the values below are
@@ -1008,3 +1114,49 @@ def test_log_k_small_z_window():
               for z, want in zip(small_z_k_grid(nu), row)
               if not abs(log_bessel_k(nu, z) - want) <= 1e-12 * max(1.0, abs(want))]
     assert not misses, "\n".join(misses)
+
+
+def _i_series_loop(nu, z):
+    """Sum of I's ascending series, one term at a time: the reference of the array form."""
+    q = 0.25 * z * z
+    s = term = 1.0
+    k = 1
+    while True:
+        term *= q / (k * (nu + k))
+        s += term
+        if term < 1e-18 * s:
+            return s
+        k += 1
+
+
+def _k_series_loop(nu, z):
+    """Sum of K's small-z series, one term at a time: the reference of the array form."""
+    q = 0.25 * z * z
+    s = term = 1.0
+    for k in range(1, 7):
+        den = nu - k
+        if den <= 0.0:
+            break
+        term *= -q / (k * den)
+        s += term
+        if abs(term) < 1e-18:
+            break
+    return s
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.0, 2.5, 10.5, 49.5, 50.5, 300.5, 1000.5])
+def test_series_sums_match_the_scalar_loop(nu):
+    # the array forms add the same terms in the same order, with each element's
+    # own stop, so their sums equal the loop's exactly, whatever the other elements
+    edge = max(30.0, math.sqrt(100.0 * (nu + 1.0)))
+    z = np.r_[np.logspace(-12.0, math.log10(edge), 60), edge, np.nextafter(edge, 0.0)]
+    want = np.array([nu * np.log(0.5 * x) - math.lgamma(nu + 1.0) + np.log(_i_series_loop(nu, x))
+                     for x in z.tolist()])
+    assert np.array_equal(_log_i_series(nu, z), want)
+    assert np.array_equal(_log_i_series(nu, z[::-1]), want[::-1])
+    if nu >= 2.0:
+        z = np.logspace(-15.0, 0.0, 40)
+        want = np.array([math.lgamma(nu) - math.log(2.0) - nu * np.log(0.5 * x)
+                         + np.log(_k_series_loop(nu, x)) for x in z.tolist()])
+        assert np.array_equal(_log_k_smallz(nu, z), want)
+

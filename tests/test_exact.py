@@ -127,34 +127,67 @@ def test_f_precision_loss_for_touching_spheres():
 
 
 def test_array_kernel_raises_on_one_bad_node():
-    # at nu >= 50 a block with one node where 1 - M < 1e-12 raises, as that node alone does
+    # a block with one node where 1 - M < 1e-12 raises, as that node alone does,
+    # at nu >= 50 (ratio form) and below (Robin combinations)
     g = Geometry(1.0, 1.0 + 5e-15, 3)
-    with pytest.raises(PrecisionLossError):
-        f_l(60, g, PCPC, Channel.TE, 1.0)
     kern = exact._Kernel(g, PCPC, Channel.TE)
-    assert np.all(np.isfinite(kern.f(60.5, np.array([1e16, 1e17, 1e18]))))
-    with pytest.raises(PrecisionLossError):
-        kern.f(60.5, np.array([1e16, 1e17, 1.0, 1e18]))
+    for l, nu in ((60, 60.5), (10, 10.5)):
+        with pytest.raises(PrecisionLossError):
+            f_l(l, g, PCPC, Channel.TE, 1.0)
+        assert np.all(np.isfinite(kern.f(nu, np.array([1e16, 1e17, 1e18]))))
+        with pytest.raises(PrecisionLossError):
+            kern.f(nu, np.array([1e16, 1e17, 1.0, 1e18]))
+
+
+def _log_one_minus_scalar(sign: int, log: float) -> float:
+    """ln(1 - M) from M = sign * exp(log) in scalar math: the oracle of the array form."""
+    if sign == 0:
+        return 0.0
+    if sign < 0:
+        if log > 35.0:
+            return log + math.log1p(math.exp(-log))
+        return math.log1p(math.exp(log))
+    if log >= 0.0:
+        raise PrecisionLossError(f"reflection coefficient reached 1 (log={log})")
+    if log > exact._LOG1MEXP_SWITCH:
+        one_minus = -math.expm1(log)
+        if one_minus < 1e-12:
+            raise PrecisionLossError(f"1 - M underflowed ({one_minus})")
+        return math.log(one_minus)
+    return math.log1p(-math.exp(log))
 
 
 def test_log_one_minus_array_form_matches_scalar_form():
-    # both branches of each sign, the log > 35 guard past exp's overflow, and M -> 0
+    # both branches of each sign, the log > 35 guard past exp's overflow, M -> 0,
+    # and a sign that varies along the array (sign 0 gives 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sign, logs in ((-1, np.r_[np.linspace(-800.0, 800.0, 801), 35.0, 710.0, -np.inf]),
                            (1, np.r_[-np.logspace(-11.0, 3.0, 801), -0.693, -np.inf])):
             got = exact._log_one_minus_array(sign, logs)
-            want = [exact._log_one_minus(sign, float(x)) for x in logs]
+            want = [_log_one_minus_scalar(sign, float(x)) for x in logs]
             assert got == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0)
+        signs, logs = np.array([1, -1, 0, -1, 1]), np.array([-1e-3, 40.0, -np.inf, -2.0, -50.0])
+        assert exact._log_one_minus_array(signs, logs) == pytest.approx(
+            [_log_one_minus_scalar(*x) for x in zip(signs.tolist(), logs.tolist())],
+            rel=4 * np.finfo(float).eps, abs=0.0)
         with pytest.raises(PrecisionLossError):
             exact._log_one_minus_array(1, np.array([-1.0, 0.0]))
+        with pytest.raises(PrecisionLossError):
+            exact._log_one_minus_array(np.array([-1, 1]), np.array([-1.0, -1e-14]))
 
 
-@pytest.mark.parametrize("eps,pair", [(0.05, PCIP), (1e8, PCPC)], ids=["pc,ip", "pc,pc"])
-def test_zero_t_energy_emits_no_numpy_warning(eps, pair):
+@pytest.mark.parametrize("route,eps,pair", [
+    (zero_T_energy, 0.05, PCIP),
+    (zero_T_energy, 1e8, PCPC),
+    (lambda g, pair, ch, policy: free_energy(g, pair, ch, 0.05, policy), 0.5, PCIP),
+    (lambda g, pair, ch, policy: thermal_correction(g, pair, ch, 0.05, policy), 0.4, PCPC),
+], ids=["pc,ip", "pc,pc", "free pc,ip", "thermal pc,pc"])
+def test_zero_t_energy_emits_no_numpy_warning(route, eps, pair):
+    # the last two run every order below nu = 50, through the Robin combinations
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zero_T_energy(Geometry.from_eps(eps, 3), pair, None, FAST)
+        route(Geometry.from_eps(eps, 3), pair, None, FAST)
 
 
 @pytest.mark.parametrize("dim", [3, 16])
@@ -496,24 +529,29 @@ def test_failure_carries_completed_counts():
 
 @pytest.mark.parametrize("width", [1, 7])
 def test_blocks_change_no_result(monkeypatch, width):
-    # scoring nu >= 50 one node or frequency per call, or a few, gives the same
-    # results and counts: p_used 64 is reached at nu >= 50, and the cap of 55
-    # fails at l = 85
+    # scoring one node or frequency per call (width 1, the one-node oracle), or a
+    # few, gives the same results and counts: p_used 64 is reached at nu >= 50,
+    # the cap of 55 fails at l = 85, and at eps = 0.5, T = 0.05 every order is
+    # below nu = 50
     g = Geometry.from_eps(0.1, 3)
+    walk_kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
 
     def run():
         free = free_energy(g, PCPC, Channel.TE, 0.5)
+        low = free_energy(Geometry.from_eps(0.5, 3), PCPC, None, 0.05)
         with pytest.raises(NonConvergenceError) as capped:
             free_energy(g, PCPC, Channel.TE, 0.5, TruncationPolicy(p_max_hard=55))
         kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
-        integrals = [exact._zero_t_integral(kern, nu) for nu in (50.5, 61.5, 300.5)]
-        return free, (capped.value.partial, capped.value.l_used, capped.value.p_used), integrals
+        integrals = [exact._zero_t_integral(kern, nu)
+                     for nu in (1.5, 10.5, 49.5, 50.5, 61.5, 300.5)]
+        walks = [exact._de_block_walk(walk_kern, nu, c)
+                 for nu in (10.5, 60.5) for c in (0.5, 5.0, 50.0)]
+        return (free, low, (capped.value.partial, capped.value.l_used, capped.value.p_used),
+                integrals, walks)
 
     blocked = run()
     assert (blocked[0].l_used, blocked[0].p_used) == (135, 64)
-    kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
-    for c in (0.5, 5.0, 50.0):
-        assert exact._de_block_walk(kern, 60.5, c).keys() == exact._de_walk(kern, 60.5, c).keys()
+    assert blocked[1].l_used < 49
     monkeypatch.setattr(exact, "_P_FIRST", width)
     monkeypatch.setattr(exact, "_P_BLOCK", width)
     monkeypatch.setattr(exact, "_DE_BLOCK", width)

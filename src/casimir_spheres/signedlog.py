@@ -24,11 +24,14 @@ class SignedLog:
 
     ``sign`` is -1, 0 or +1; ``log`` is ln|value| and is -inf exactly when
     the sign is 0.  Both may be numpy arrays (of one shape, or broadcast
-    against each other); every element is checked.
+    against each other); every element is checked.  A record of floats
+    compares and hashes by value; one of arrays can be neither compared
+    with ``==`` nor hashed (numpy's elementwise ``==`` has no single truth
+    value), so compare its fields instead.
     """
 
-    sign: int
-    log: float
+    sign: int | np.ndarray
+    log: float | np.ndarray
 
     def __post_init__(self):
         sign, log = np.asarray(self.sign), np.asarray(self.log, dtype=float)

@@ -1160,3 +1160,18 @@ def test_series_sums_match_the_scalar_loop(nu):
                          + np.log(_k_series_loop(nu, x)) for x in z.tolist()])
         assert np.array_equal(_log_k_smallz(nu, z), want)
 
+
+@pytest.mark.parametrize("nu, z", [(1e10, 1e6), (1e14, 1e8)])
+def test_series_at_a_large_order_stays_short(monkeypatch, nu, z):
+    # inside the series window at a large order the term ratio q/(k (nu + k))
+    # is about 25/k, so about 80 terms reach the stop however large z is: no
+    # row wider than the loop's 512-term limit is built
+    assert bessel._i_series_window(nu, z)
+    widths, original = [], bessel._ordered_sums
+    monkeypatch.setattr(bessel, "_ordered_sums",
+                        lambda top, den: widths.append(den.size) or original(top, den))
+    got = log_bessel_i(nu, z)
+    assert widths and max(widths) <= 512
+    assert got == nu * np.log(0.5 * z) - math.lgamma(nu + 1.0) + np.log(_i_series_loop(nu, z))
+    # the uniform expansion, an independent route, agrees
+    assert abs(got - _log_i_debye(nu, z)) <= 1e-14 * abs(got)

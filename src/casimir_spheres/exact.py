@@ -21,9 +21,10 @@ classical term sums numpy blocks of l, and the other routes sum one l at a
 time (_l_by_l), each with its stop rule.  free_energy and zero_T_energy stop
 on a certified l-tail bound (power D-2 and D-1), folded into the error
 estimate; thermal_correction, whose per-l differences decay like
-T^(2 nu + 1), stops after two small differences past l = 3.  All reductions
-run in a fixed order (ascending l, ascending p) with compensated
-accumulation, so results are reproducible bit-for-bit.
+T^(2 nu + 1), stops after two small differences past l = 3.  The stop rules
+read plain running totals; every sum that is returned (over l, over p, over
+the frequency nodes) is math.fsum of its kept terms, which is correctly
+rounded (Shewchuk 1997), so no block width or grouping changes a value.
 """
 
 from __future__ import annotations
@@ -66,24 +67,6 @@ _P_BLOCK = 64
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
-
-
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
 
 
 class _Kernel:
@@ -264,25 +247,27 @@ def _classical_blocks(kern: _Kernel, dim: int, policy: TruncationPolicy):
     tolerance; ``l_used`` is the last l whose term is significant.
     """
     alpha = kern.alpha_log
-    acc = _Kahan()
+    kept: list[float] = []
+    total = 0.0
     l_used = 0
     lo = 1
     while True:
         hi = min(lo + _CLASSICAL_BLOCK - 1, policy.l_max_hard)
         nu_v = np.arange(lo, hi + 1, dtype=np.float64) + (dim - 2) / 2.0
         terms = 0.5 * kern.degeneracy(nu_v) * kern.f0(nu_v)
-        acc.add(float(np.sum(terms)))
-        significant = np.nonzero(np.abs(terms) > 1e-16 * abs(acc.value))[0]
+        kept.extend(terms.tolist())
+        total += float(np.sum(terms))
+        significant = np.nonzero(np.abs(terms) > 1e-16 * abs(total))[0]
         if significant.size:
             l_used = lo + int(significant[-1])
         tail = _l_tail_bound(terms[-1], nu_v[-1], dim - 2, alpha)
-        if tail < policy.rel_tol * abs(acc.value) * 0.25 and abs(terms[-1]) \
-                < policy.rel_tol * abs(acc.value):
-            return acc.value, tail, l_used, 0
+        if tail < policy.rel_tol * abs(total) * 0.25 and abs(terms[-1]) \
+                < policy.rel_tol * abs(total):
+            return math.fsum(kept), tail, l_used, 0
         if hi >= policy.l_max_hard:
             raise NonConvergenceError(f"classical term hit l_max_hard={policy.l_max_hard} "
                                       f"before reaching rel_tol={policy.rel_tol}",
-                                      partial=acc.value, l_used=hi)
+                                      partial=math.fsum(kept), l_used=hi)
         lo = hi + 1
 
 
@@ -333,27 +318,30 @@ def _difference_stop(policy: TruncationPolicy):
 
 
 def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
-    """One channel's Kahan sum over l of d_l-weighted per-l blocks.
+    """One channel's sum over l of d_l-weighted per-l blocks.
 
     ``term(kern, nu, d_l)`` gives one l's (term, error, p_used);
     ``rule(l, nu, term, total, err)`` returns the l-tail bound that ends the
-    sum, or None.
+    sum, or None.  The rule reads a plain running total; the value, and the
+    ``partial`` of a failure, is math.fsum of the completed terms.
     """
-    acc, err = _Kahan(), 0.0
+    terms: list[float] = []
+    total = err = 0.0
     l_used = p_used = 0
     try:
         for l in range(1, policy.l_max_hard + 1):
             nu = nu_of(l, dim)
             t, error, p = term(kern, nu, float(kern.degeneracy(nu)))
-            acc.add(t)
+            terms.append(t)
+            total += t
             err += error
             l_used, p_used = l, max(p_used, p)
-            ltail = rule(l, nu, t, acc.value, err)
+            ltail = rule(l, nu, t, total, err)
             if ltail is not None:
-                return acc.value, err + ltail, l_used, p_used
+                return math.fsum(terms), err + ltail, l_used, p_used
         raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
     except NonConvergenceError as exc:
-        raise NonConvergenceError(str(exc), partial=acc.value, l_used=l_used,
+        raise NonConvergenceError(str(exc), partial=math.fsum(terms), l_used=l_used,
                                   p_used=max(p_used, exc.p_used)) from None
 
 
@@ -362,22 +350,24 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
     """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound.
 
     The kernel scores _P_FIRST frequencies in the first call and _P_BLOCK in
-    each later one, and the Kahan sum and tail test still run one p at a
-    time, so a block changes neither the sum nor the p where it stops.
+    each later one; the tail test still runs one p at a time on a plain
+    running total, and the value is math.fsum of the terms up to the stop,
+    so a block changes neither the sum nor the p where it stops.
     """
     du = 2.0 * math.pi * a1T
-    acc = _Kahan()
-    acc.add(0.5 * float(kern.f0(nu)))
+    terms = [0.5 * float(kern.f0(nu))]
+    total = terms[0]
     p = 1
     while True:
         u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
         values, rates = kern.f(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
         for fv, rate in zip(values, rates):
-            acc.add(fv)
+            terms.append(fv)
+            total += fv
             r = math.exp(-rate * du)
             tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
-            if tail < rel_tol * max(abs(acc.value), 1e-300):
-                return acc.value, tail, p
+            if tail < rel_tol * max(abs(total), 1e-300):
+                return math.fsum(terms), tail, p
             if p >= p_max:
                 raise NonConvergenceError(
                     f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
@@ -417,15 +407,16 @@ def _de_values(kern: _Kernel, nu: float, c: float, ks: np.ndarray) -> np.ndarray
     return values
 
 
-def _de_block_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
-    """The nodes {k: F(k h)} of _zero_t_integral's walk, _DE_BLOCK per side and kernel call.
+def _de_block_walk(kern: _Kernel, nu: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes k and values F(k h) of _zero_t_integral's walk, as two arrays.
 
-    The first call takes both sides.  On each block the running maximum
-    finds the node where a one-node walk would stop; the nodes past it are
-    dropped, and a side that has not stopped is scored one block further.
+    The kernel scores _DE_BLOCK nodes per side and call; the first call
+    takes both sides.  On each block the running maximum finds the node
+    where a one-node walk would stop; the nodes past it are dropped, and a
+    side that has not stopped is scored one block further.
     """
     first = _de_values(kern, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
-    nodes: dict[int, float] = {}
+    ks_kept, values_kept = [], []
     peak = 0.0
     for step, block in ((1, first[_DE_BLOCK:]), (-1, first[_DE_BLOCK - 1::-1])):
         k = 0 if step > 0 else -1
@@ -436,13 +427,14 @@ def _de_block_walk(kern: _Kernel, nu: float, c: float) -> dict[int, float]:
             stops = np.flatnonzero((size <= _DE_CUT * running)
                                    & ((step < 0) | (ks * _DE_STEP >= 1.0)))
             n = stops[0] + 1 if stops.size else _DE_BLOCK
-            nodes.update(zip(ks[:n].tolist(), block[:n].tolist()))
+            ks_kept.append(ks[:n])
+            values_kept.append(block[:n])
             peak = float(running[n - 1])
             if stops.size:
                 break
             k += step * _DE_BLOCK
             block = _de_values(kern, nu, c, k + step * np.arange(_DE_BLOCK))
-    return nodes
+    return np.concatenate(ks_kept), np.concatenate(values_kept)
 
 
 def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
@@ -460,12 +452,12 @@ def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
     """
     q = 1.0 / (kern.r21 * kern.r21 - 1.0)
     c = min(nu, math.sqrt(q * (2.0 * nu + q)))
-    nodes = _de_block_walk(kern, nu, c)
-    s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(v for k, v in nodes.items() if k % m == 0)
+    k, values = _de_block_walk(kern, nu, c)
+    s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
                        for m in (1, 2, 4))
     d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
     rounding = (128.0 + 2.0 * nu) * np.finfo(float).eps * _DE_STEP \
-        * math.fsum(abs(v) for v in nodes.values())
+        * math.fsum(np.abs(values).tolist())
     return s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding
 
 

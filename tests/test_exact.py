@@ -515,43 +515,74 @@ def test_partial_is_energy_of_completed_l_terms():
 def test_failure_carries_completed_counts():
     # l_used is the last l in partial; p_used the largest p reached, the cap included.
     # At eps = 0.1 the caps fall at nu >= 50, inside a block of frequencies.
+    failures = []
     for eps, T, p_max_hard, counts in ((0.5, 0.1, 45, (8, 45)), (0.1, 0.5, 49, (54, 49)),
                                         (0.1, 0.5, 55, (85, 55)), (0.1, 0.5, 63, (131, 63))):
         with pytest.raises(NonConvergenceError) as info:
             free_energy(Geometry.from_eps(eps, 3), PCPC, Channel.TE, T,
                         TruncationPolicy(p_max_hard=p_max_hard))
         assert (info.value.l_used, info.value.p_used) == counts
+        failures.append(info.value)
     with pytest.raises(NonConvergenceError) as info:
         zero_T_energy(Geometry.from_eps(0.1, 3), PCPC, None,
                       TruncationPolicy(rel_tol=1e-6, l_max_hard=3))
     assert (info.value.l_used, info.value.p_used) == (3, 0)
+    failures.append(info.value)
+    with pytest.raises(NonConvergenceError) as info:
+        classical_term(Geometry.from_eps(0.1, 3), PCPC, None, TruncationPolicy(l_max_hard=3))
+    failures.append(info.value)
+    # counts are Python ints, as json.dumps needs: an array index would give np.int64
+    results = [free_energy(Geometry.from_eps(0.1, 3), PCPC, None, 0.5),
+               zero_T_energy(Geometry.from_eps(0.5, 3), PCPC),
+               thermal_correction(Geometry.from_eps(0.5, 3), PCPC, None, 0.1),
+               classical_term(Geometry.from_eps(0.1, 3), PCPC)]
+    for outcome in failures + results:
+        assert type(outcome.l_used) is int and type(outcome.p_used) is int, outcome
+
+
+def test_matsubara_sum_with_an_infinite_tail_bound_fails_at_its_cap():
+    # at a1 T = 1e-9, exp(-g' du) rounds to exactly 1 at 7 of the first 20
+    # frequencies, where the p-tail bound is infinite: the sum runs on to its cap
+    kern = exact._Kernel(Geometry.from_eps(0.1, 3), PCPC, Channel.TE)
+    du = 2.0 * math.pi * 1e-9
+    u = du * np.arange(1, 21)
+    assert np.count_nonzero(np.exp(-kern.decay_rate(1.5, u) * du) == 1.0) == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError) as info:
+            exact._matsubara_block(kern, 1.5, 1e-9, 1e-9, 20)
+    assert info.value.p_used == 20
 
 
 @pytest.mark.parametrize("width", [1, 7])
 def test_blocks_change_no_result(monkeypatch, width):
     # scoring one node or frequency per call (width 1, the one-node oracle), or a
     # few, gives the same results and counts: p_used 64 is reached at nu >= 50,
-    # the cap of 55 fails at l = 85, and at eps = 0.5, T = 0.05 every order is
-    # below nu = 50
+    # the cap of 55 fails at l = 85, at eps = 0.5, T = 0.05 every order is
+    # below nu = 50, and the thermal correction's sums at the 1e-14 inner
+    # tolerance run to p = 262, across four 64-frequency blocks
     g = Geometry.from_eps(0.1, 3)
     walk_kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
 
     def run():
         free = free_energy(g, PCPC, Channel.TE, 0.5)
         low = free_energy(Geometry.from_eps(0.5, 3), PCPC, None, 0.05)
+        correction = thermal_correction(g, PCPC, Channel.TE, 0.1)
         with pytest.raises(NonConvergenceError) as capped:
             free_energy(g, PCPC, Channel.TE, 0.5, TruncationPolicy(p_max_hard=55))
         kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
         integrals = [exact._zero_t_integral(kern, nu)
                      for nu in (1.5, 10.5, 49.5, 50.5, 61.5, 300.5)]
-        walks = [exact._de_block_walk(walk_kern, nu, c)
+        walks = [tuple(a.tolist() for a in exact._de_block_walk(walk_kern, nu, c))
                  for nu in (10.5, 60.5) for c in (0.5, 5.0, 50.0)]
-        return (free, low, (capped.value.partial, capped.value.l_used, capped.value.p_used),
+        return (free, low, correction,
+                (capped.value.partial, capped.value.l_used, capped.value.p_used),
                 integrals, walks)
 
     blocked = run()
     assert (blocked[0].l_used, blocked[0].p_used) == (135, 64)
     assert blocked[1].l_used < 49
+    assert blocked[2].p_used == 262
     monkeypatch.setattr(exact, "_P_FIRST", width)
     monkeypatch.setattr(exact, "_P_BLOCK", width)
     monkeypatch.setattr(exact, "_DE_BLOCK", width)

@@ -23,12 +23,14 @@ small-z series when kve overflows (tiny z only); any other AMOS failure
 
 _uniform_series gives (w, E, O), also for the Robin series
 a_k = v_k + (alpha/beta) t u_{k-1}; eta follows from w through
-debye.eta_from_w.  It takes a numpy array of z as well as a float: the a_k
-are one float coefficient matrix per ratio, built once, which each call
-folds with its order's 1/nu^k into one even and one odd polynomial.  The
-exact module builds ln M_l from it in ratio form, on an array of frequencies
-at nu >= 50, where the sqrt(nu) and w prefactors of I and K cancel and the
-two spheres' w values give the decay exponent.
+debye.eta_from_w.  It takes a float or a numpy array of z, and a float
+order or a column of orders against one row of z per order: the a_k are
+one float coefficient matrix per ratio, built once, which each call folds
+with each order's 1/nu^k into one even and one odd polynomial in t^2,
+scored by Horner's rule.  The exact module builds ln M_l from it in ratio
+form at nu >= 50, on a block of orders and frequencies per call, where the
+sqrt(nu) and w prefactors of I and K cancel and the two spheres' w values
+give the decay exponent.
 
 Below nu = 50 the exact module scores ln M_l from robin_combination, which
 also takes an array of z: each element takes the branch log_bessel_i/k
@@ -76,9 +78,8 @@ _SERIES_MAX_Z = 30.0
 _DEBYE_MIN_NU = 50.0
 _UNIFORM_MIN_Z = 1e8
 _CANCEL_DIGITS = 6.0
-# Orders k of the uniform series, and the powers s^j, j >= 1, of its polynomials in s = t^2.
+# Orders k of the uniform series.
 _ORDERS = np.arange(1.0, MAX_ORDER + 1.0)
-_POWERS = np.arange(1.0, 3 * MAX_ORDER // 2 + 1.0)
 
 
 def _check_args(nu: float, z) -> None:
@@ -158,25 +159,31 @@ def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows[1::2]), np.array(rows[0::2])
 
 
-def _uniform_series(nu: float, z, ratio: Optional[float] = None):
+def _uniform_series(nu, z, ratio: Optional[float] = None):
     """(w, E, O) of the uniform expansion (module docstring) at nu, z.
 
     E and O are the even- and odd-order parts of sum_k a_k(1/w)/nu^k, with
     a_k = u_k for ``ratio`` None (I and K) and a_k = v_k + ratio*t*u_{k-1}
     for alpha*B + beta*z*B', ratio = alpha/beta.  The I-type series is
-    1 + E + O, the K-type one 1 + E - O.  ``z`` is a float or an array: the
-    order's 1/nu^k fold the coefficient matrices into one even polynomial in
-    s = t^2 and one odd one, scored on the powers of s of every z at once.
+    1 + E + O, the K-type one 1 + E - O.  ``z`` is a float or an array, and
+    ``nu`` a float or an array that broadcasts against it, such as a column
+    of orders against one row of z per order.  Each order's 1/nu^k fold the
+    coefficient matrices into one even polynomial in s = t^2 and one odd
+    one, scored on every z of its row at once by Horner's rule, which
+    allocates no array of the powers of s; no row depends on the others.
     """
     even_rows, odd_rows = _coefficients(ratio)
-    inv = nu ** -_ORDERS
-    c_even, c_odd = inv[1::2] @ even_rows, inv[0::2] @ odd_rows
+    inv = np.asarray(nu)[..., None] ** -_ORDERS
+    c_even, c_odd = inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
     w = np.hypot(1.0, z / nu)
     t = 1.0 / w
-    powers = np.asarray(t * t)[..., None] ** _POWERS
-    even = c_even[0] + (powers * c_even[1:]).sum(-1)
-    odd = t * (c_odd[0] + (powers[..., :-1] * c_odd[1:]).sum(-1))
-    return w, even, odd
+    s = t * t
+    even, odd = c_even[..., -1], c_odd[..., -1]
+    for j in range(c_even.shape[-1] - 2, -1, -1):
+        even = even * s + c_even[..., j]
+    for j in range(c_odd.shape[-1] - 2, -1, -1):
+        odd = odd * s + c_odd[..., j]
+    return w, even, t * odd
 
 
 def _log_i_debye(nu: float, z: float) -> float:

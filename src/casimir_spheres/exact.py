@@ -12,13 +12,17 @@ K_nu at the two radii; at T = 0 the sum over p becomes the integral
 each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
 channel's f is one _Kernel, evaluated at any real order nu on a numpy
-array of u: from the uniform expansion in ratio form at nu >= 50, from the
-Robin combinations below.  Both per-order walks (the frequency integral's
-nodes and the Matsubara frequencies) score a block of points per kernel
-call, with the stops, sums and counts of a one-point walk.  One channel
-loop, _by_channel, runs every route and aggregates failures; under it the
-classical term sums numpy blocks of l, and the other routes sum one l at a
-time (_l_by_l), each with its stop rule.  free_energy and zero_T_energy stop
+array of u: from the uniform expansion in ratio form at nu >= 50, also on
+a column of orders against one row of u per order, and from the Robin
+combinations below.  Both per-order walks (the frequency integral's nodes
+and the Matsubara frequencies) score a block of points per kernel call,
+with the stops, sums and counts of a one-point walk; at nu >= 50 the
+frequency walk scores a block of up to _L_BLOCK orders per call, sized from
+the orders left to the l-sum's stop.  One channel loop, _by_channel, runs
+every route and aggregates failures; under it the classical term sums
+numpy blocks of l, and the other routes run _l_by_l, whose stop rules read
+the terms one l at a time, in ascending order, and drop the orders of a
+block past the stop.  free_energy and zero_T_energy stop
 on a certified l-tail bound (power D-2 and D-1), folded into the error
 estimate; thermal_correction, whose per-l differences decay like
 T^(2 nu + 1), stops after two small differences past l = 3.  The stop rules
@@ -58,6 +62,7 @@ _CLASSICAL_BLOCK = 65536  # orders per numpy block of the classical term
 _DE_STEP = 0.1  # step h in t of the frequency integral's trapezoid rule
 _DE_CUT = 1e-17  # each side of the t-walk stops at |F| <= _DE_CUT * max|F|
 _DE_BLOCK = 40  # t-nodes per side and kernel call, where a side takes 24-45
+_L_BLOCK = 64  # most orders per kernel call of the vacuum l-sum, at nu >= 50
 # Matsubara frequencies per kernel call: _P_FIRST in the first, which ends most sums
 # at T ~ 1 (p = 5-11 at gaps 0.2-0.3) while one of one or two frequencies (T ~ 10)
 # wastes little, then _P_BLOCK per call for the long low-T sums (p = 50-300).
@@ -102,10 +107,14 @@ class _Kernel:
         pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
         return np.log1p(-pref * np.exp(s))
 
-    def log_m(self, nu: float, u):
-        """(sign, ln|M|) at order nu and u = a1 * xi > 0, a float or an array."""
+    def log_m(self, nu, u):
+        """(sign, ln|M|) at order nu and u = a1 * xi > 0, a float or an array.
+
+        ``nu`` is a float, or an array of orders at nu >= 50 that broadcasts
+        against u, such as a column of orders against one row of u per order.
+        """
         u2 = self.r21 * u
-        if nu >= _DEBYE_MIN_NU:
+        if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
             # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
             # X = ln[(1 + E + O)/(1 + E - O)]: the sqrt(nu) and w prefactors cancel,
             # and a mixed pair (one sphere with beta = 0) makes M negative.
@@ -123,11 +132,11 @@ class _Kernel:
         return (i1.sign * k2.sign * i2.sign * k1.sign,
                 (i1.log + k2.log) - (i2.log + k1.log))
 
-    def f(self, nu: float, u):
-        """f at order nu and u = a1 * xi > 0, a float or an array."""
+    def f(self, nu, u):
+        """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m)."""
         return _log_one_minus_array(*self.log_m(nu, u))
 
-    def _exponent(self, nu: float, w1, w2):
+    def _exponent(self, nu, w1, w2):
         """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
         return 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
 
@@ -317,31 +326,39 @@ def _difference_stop(policy: TruncationPolicy):
     return rule
 
 
-def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, term, rule):
+def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, terms, rule,
+            width=lambda nu, term, total: 1):
     """One channel's sum over l of d_l-weighted per-l blocks.
 
-    ``term(kern, nu, d_l)`` gives one l's (term, error, p_used);
-    ``rule(l, nu, term, total, err)`` returns the l-tail bound that ends the
-    sum, or None.  The rule reads a plain running total; the value, and the
-    ``partial`` of a failure, is math.fsum of the completed terms.
+    ``width(nu, term, total)`` gives the number of orders to score next,
+    from the last order's nu and term (nu_0 and 0 before l = 1) and the
+    running total; ``terms(kern, nu, d_l)`` gives one (term, error, p_used)
+    per order of the list ``nu``, in order; ``rule(l, nu, term, total,
+    err)`` returns the l-tail bound that ends the sum, or None.  The rule
+    runs one l at a time on a plain running total, and the orders past the
+    stop are dropped; the value, and the ``partial`` of a failure, is
+    math.fsum of the completed terms.
     """
-    terms: list[float] = []
-    total = err = 0.0
+    kept: list[float] = []
+    total = err = t = 0.0
     l_used = p_used = 0
+    nu = (dim - 2) / 2.0
     try:
-        for l in range(1, policy.l_max_hard + 1):
-            nu = nu_of(l, dim)
-            t, error, p = term(kern, nu, float(kern.degeneracy(nu)))
-            terms.append(t)
-            total += t
-            err += error
-            l_used, p_used = l, max(p_used, p)
-            ltail = rule(l, nu, t, total, err)
-            if ltail is not None:
-                return math.fsum(terms), err + ltail, l_used, p_used
+        while l_used < policy.l_max_hard:
+            ls = range(l_used + 1, min(l_used + width(nu, t, total), policy.l_max_hard) + 1)
+            nus = [l + (dim - 2) / 2.0 for l in ls]
+            for l, nu, (t, error, p) in zip(ls, nus, terms(
+                    kern, nus, [kern.degeneracy(n) for n in nus])):
+                kept.append(t)
+                total += t
+                err += error
+                l_used, p_used = l, max(p_used, p)
+                ltail = rule(l, nu, t, total, err)
+                if ltail is not None:
+                    return math.fsum(kept), err + ltail, l_used, p_used
         raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
     except NonConvergenceError as exc:
-        raise NonConvergenceError(str(exc), partial=math.fsum(terms), l_used=l_used,
+        raise NonConvergenceError(str(exc), partial=math.fsum(kept), l_used=l_used,
                                   p_used=max(p_used, exc.p_used)) from None
 
 
@@ -382,83 +399,127 @@ def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
         raise ValueError(f"free_energy requires T > 0, got {T}; use zero_T_energy at T=0")
     a1T = geometry.a1 * T
 
-    def matsubara_term(kern, nu, d_l):
-        block, ptail, p = _matsubara_block(kern, nu, a1T, policy.rel_tol / 20.0,
-                                           policy.p_max_hard)
-        return T * d_l * block, T * d_l * ptail, p
+    def matsubara_terms(kern, nu, d_l):
+        for n, d in zip(nu, d_l):
+            block, ptail, p = _matsubara_block(kern, n, a1T, policy.rel_tol / 20.0,
+                                               policy.p_max_hard)
+            yield T * d * block, T * d * ptail, p
 
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, matsubara_term,
+        kern, geometry.dim, policy, matsubara_terms,
         _certified_stop(policy, geometry.dim - 2, geometry.alpha_log)))
     return _certified(res, policy)
 
 
-def _de_values(kern: _Kernel, nu: float, c: float, ks: np.ndarray) -> np.ndarray:
-    """F(t) = u'(t) f(nu, u(t)) at t = k h for the integers ``ks``, u = c exp(t - e^-t).
+def _de_values(kern: _Kernel, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """F(t) = u'(t) f(nu, u(t)) at t = k h, u = c exp(t - e^-t), in one kernel call.
 
-    One array call of the kernel.  A node where u underflows is 0.
+    One row per order of ``nu`` (with its scale in ``c``), one column per
+    integer of ``ks``.  A node where u underflows is 0: the ratio form at
+    nu >= 50 gives 0 there itself, and below nu = 50, where a block holds
+    one order, the Robin combinations score only the other nodes.
     """
     t = ks * _DE_STEP
     e = np.exp(-t)
-    u = c * np.exp(t - e)
+    if nu[0] >= _DEBYE_MIN_NU:
+        u = c[:, None] * np.exp(t - e)
+        return u * (1.0 + e) * kern.f(nu[:, None], u)
+    u = c[0] * np.exp(t - e)
     live = u > 0.0
     values = np.zeros_like(u)
-    values[live] = u[live] * (1.0 + e[live]) * kern.f(nu, u[live])
-    return values
+    values[live] = u[live] * (1.0 + e[live]) * kern.f(float(nu[0]), u[live])
+    return values[None]
 
 
-def _de_block_walk(kern: _Kernel, nu: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes k and values F(k h) of _zero_t_integral's walk, as two arrays.
+def _de_block_walk(kern: _Kernel, nu: np.ndarray, c: np.ndarray) -> list:
+    """The nodes k and values F(k h) of _zero_t_integrals' walk, two arrays per order.
 
-    The kernel scores _DE_BLOCK nodes per side and call; the first call
-    takes both sides.  On each block the running maximum finds the node
-    where a one-node walk would stop; the nodes past it are dropped, and a
-    side that has not stopped is scored one block further.
+    ``nu`` holds one order below nu = 50, or any number at nu >= 50, and
+    ``c`` their scales.  The first kernel call scores _DE_BLOCK nodes per
+    side of every order.  On each block the running maximum along a row
+    finds the node where a one-node walk would stop (the right side's peak
+    carried into the left side); the nodes past it are dropped, and the
+    orders whose side has not stopped are scored one block further, together.
     """
     first = _de_values(kern, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
-    ks_kept, values_kept = [], []
-    peak = 0.0
-    for step, block in ((1, first[_DE_BLOCK:]), (-1, first[_DE_BLOCK - 1::-1])):
+    kept = [([], []) for _ in range(nu.size)]
+    peak = np.zeros((nu.size, 1))
+    for step, block in ((1, first[:, _DE_BLOCK:]), (-1, first[:, _DE_BLOCK - 1::-1])):
+        offsets = step * np.arange(_DE_BLOCK)
+        rows, row_peaks = list(range(nu.size)), peak
         k = 0 if step > 0 else -1
         while True:
-            ks = k + step * np.arange(_DE_BLOCK)
+            ks = k + offsets
             size = np.abs(block)
-            running = np.maximum.accumulate(np.maximum(size, peak))
-            stops = np.flatnonzero((size <= _DE_CUT * running)
-                                   & ((step < 0) | (ks * _DE_STEP >= 1.0)))
-            n = stops[0] + 1 if stops.size else _DE_BLOCK
-            ks_kept.append(ks[:n])
-            values_kept.append(block[:n])
-            peak = float(running[n - 1])
-            if stops.size:
+            running = np.maximum.accumulate(np.maximum(size, row_peaks), axis=1)
+            stops = size <= _DE_CUT * running
+            if step > 0:
+                stops &= ks * _DE_STEP >= 1.0
+            going = []
+            for i, (row, flags) in enumerate(zip(rows, stops.tolist())):
+                stopped = True in flags
+                n = flags.index(True) + 1 if stopped else _DE_BLOCK
+                kept[row][0].append(ks[:n])
+                kept[row][1].append(block[i, :n])
+                peak[row, 0] = running[i, n - 1]
+                if not stopped:
+                    going.append(row)
+            if not going:
                 break
+            rows, row_peaks = going, peak[going]
             k += step * _DE_BLOCK
-            block = _de_values(kern, nu, c, k + step * np.arange(_DE_BLOCK))
-    return np.concatenate(ks_kept), np.concatenate(values_kept)
+            block = _de_values(kern, nu[rows], c[rows], k + offsets)
+    return [(np.concatenate(ks), np.concatenate(values)) for ks, values in kept]
 
 
-def _zero_t_integral(kern: _Kernel, nu: float) -> tuple[float, float]:
-    """int_0^infty f(nu, u) du and its error estimate, by one fixed-step rule.
+def _zero_t_integrals(kern: _Kernel, nu: list[float]) -> list[tuple[float, float]]:
+    """int_0^infty f(nu, u) du and its error estimate for each order of ``nu``.
 
     The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
     Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
     q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
     from t = 0 on each side, the right one to t >= 1 at least, and stops at
     the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
-    where f is 0, adds 0; the kernel scores a block of nodes per call
-    (_de_block_walk).  The estimate is d1^2/d2 from the sums at 2h and 4h on
-    the same nodes, plus a rounding allowance that grows with nu, as the
-    kernel's exponent 2 nu w loses digits in proportion.
+    where f is 0, adds 0; the kernel scores a block of nodes of every order
+    per call (_de_block_walk), so ``nu`` holds one order below nu = 50 or
+    any number at nu >= 50.  The estimate is d1^2/d2 from the sums at 2h
+    and 4h on the same nodes, plus a rounding allowance that grows with nu,
+    as the kernel's exponent 2 nu w loses digits in proportion.  Every sum
+    is math.fsum of one order's nodes, so no order changes another's result.
     """
     q = 1.0 / (kern.r21 * kern.r21 - 1.0)
-    c = min(nu, math.sqrt(q * (2.0 * nu + q)))
-    k, values = _de_block_walk(kern, nu, c)
-    s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
-                       for m in (1, 2, 4))
-    d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
-    rounding = (128.0 + 2.0 * nu) * np.finfo(float).eps * _DE_STEP \
-        * math.fsum(np.abs(values).tolist())
-    return s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding
+    c = [min(order, math.sqrt(q * (2.0 * order + q))) for order in nu]
+    out = []
+    for order, (k, values) in zip(nu, _de_block_walk(kern, np.array(nu), np.array(c))):
+        s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
+                           for m in (1, 2, 4))
+        d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
+        rounding = (128.0 + 2.0 * order) * np.finfo(float).eps * _DE_STEP \
+            * math.fsum(np.abs(values).tolist())
+        out.append((s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding))
+    return out
+
+
+def _orders_to_stop(policy: TruncationPolicy, power: float, alpha: float):
+    """Orders per block of the vacuum l-sum: one below nu = 50, from there
+    the orders left to the certified stop, at most _L_BLOCK.
+
+    ``width(nu, term, total)`` reads the last order's nu and term and the
+    running total.  The terms fall like nu^power e^(-2 alpha nu), as
+    _l_tail_bound assumes, so the stop's ltail + |term| < rel_tol |total| / 2
+    lies ln(r / (rel_tol |total| / 2)) / (2 alpha) orders on, r the last
+    ltail + |term|, plus the orders the nu^power growth adds over that
+    distance.  The total still grows, so the prediction errs long, and the
+    orders scored past the stop are those of the last block.
+    """
+    def width(nu, term, total):
+        if nu + 1.0 < _DEBYE_MIN_NU or total == 0.0:
+            return 1
+        excess = math.log((_l_tail_bound(term, nu, power, alpha) + abs(term))
+                          / (0.5 * policy.rel_tol * abs(total)))
+        n = (excess + power * math.log1p(excess / (2.0 * alpha * nu))) / (2.0 * alpha)
+        return max(1, min(_L_BLOCK, math.ceil(n)))
+    return width
 
 
 def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
@@ -467,13 +528,15 @@ def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
     """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
-    def vacuum_term(kern, nu, d_l):
-        integral, ierr = _zero_t_integral(kern, nu)
-        return inv_2pi_a1 * d_l * integral, inv_2pi_a1 * d_l * ierr, 0
+    def vacuum_terms(kern, nu, d_l):
+        for (integral, ierr), d in zip(_zero_t_integrals(kern, nu), d_l):
+            yield inv_2pi_a1 * d * integral, inv_2pi_a1 * d * ierr, 0
 
+    power = geometry.dim - 1
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, vacuum_term,
-        _certified_stop(policy, geometry.dim - 1, geometry.alpha_log)))
+        kern, geometry.dim, policy, vacuum_terms,
+        _certified_stop(policy, power, geometry.alpha_log),
+        _orders_to_stop(policy, power, geometry.alpha_log)))
     return _certified(res, policy)
 
 
@@ -493,16 +556,17 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     a1T = geometry.a1 * T
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
-    def difference_term(kern, nu, d_l):
-        block, ptail, p = _matsubara_block(kern, nu, a1T, 1e-14, policy.p_max_hard)
-        integral, ierr = _zero_t_integral(kern, nu)
-        delta = d_l * (T * block - inv_2pi_a1 * integral)
-        truncation = d_l * (T * ptail + inv_2pi_a1 * ierr)
-        rounding = d_l * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
-        return delta, truncation + rounding, p
+    def difference_terms(kern, nu, d_l):
+        for n, d in zip(nu, d_l):
+            block, ptail, p = _matsubara_block(kern, n, a1T, 1e-14, policy.p_max_hard)
+            (integral, ierr), = _zero_t_integrals(kern, [n])
+            delta = d * (T * block - inv_2pi_a1 * integral)
+            truncation = d * (T * ptail + inv_2pi_a1 * ierr)
+            rounding = d * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
+            yield delta, truncation + rounding, p
 
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, difference_term, _difference_stop(policy)))
+        kern, geometry.dim, policy, difference_terms, _difference_stop(policy)))
     if abs(res.value) < 10.0 * res.error_estimate:
         msg = (f"thermal correction {res.value:.3e} is within a decade of its combined "
                f"error estimate {res.error_estimate:.3e}; digits are not trustworthy")

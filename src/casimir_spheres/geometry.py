@@ -6,6 +6,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .modes import _integer_at_least
+
 __all__ = ["Geometry", "TruncationPolicy", "EnergyResult"]
 
 
@@ -25,8 +27,7 @@ class Geometry:
             raise ValueError(f"a1 must be positive and finite, got {self.a1}")
         if not (self.a2 > self.a1 and math.isfinite(self.a2)):
             raise ValueError(f"a2 must exceed a1, got a1={self.a1}, a2={self.a2}")
-        if not isinstance(self.dim, int) or self.dim < 3:
-            raise ValueError(f"dim must be an integer >= 3, got {self.dim!r}")
+        object.__setattr__(self, "dim", _integer_at_least(self.dim, 3, "dim"))
 
     @property
     def eps(self) -> float:
@@ -45,6 +46,13 @@ class Geometry:
 
     @classmethod
     def from_eps(cls, eps: float, dim: int, a1: float = 1.0) -> "Geometry":
+        """The spheres a1 and a2 = a1 (1 + eps), with a2 rounded to a float.
+
+        Energies and their ``error_estimate`` refer to the stored radii, whose
+        gap can differ from the decimal eps by an ulp of a2: from_eps(0.05, D)
+        has ``eps`` 0.050000000000000044.  An energy ~ eps^-(D-1) then moves by
+        about (D-1) ulp(a2) / eps relative, which the estimate does not cover.
+        """
         return cls(a1=a1, a2=a1 * (1.0 + eps), dim=dim)
 
     def widened(self, new_d: float) -> "Geometry":

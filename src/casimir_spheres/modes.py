@@ -18,6 +18,7 @@ type.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -81,26 +82,29 @@ class BoundaryPair:
         return f"{self.inner.value},{self.outer.value}"
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, int) or dim < 3:
-        raise ValueError(f"space dimension must be an integer >= 3, got {dim!r}")
+def _integer_at_least(value, low: int, what: str) -> int:
+    """``value`` as an int: any integral type (numpy's too) but bool, and >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
-def _check_l(l: int) -> None:
-    if not isinstance(l, int) or l < 1:
-        raise ValueError(f"angular number must be an integer >= 1, got {l!r}")
+def _check_dim(dim: int) -> int:
+    return _integer_at_least(dim, 3, "space dimension")
+
+
+def _check_l(l: int) -> int:
+    return _integer_at_least(l, 1, "angular number")
 
 
 def nu(l: int, dim: int) -> float:
     """Bessel order nu = l + (D-2)/2."""
-    _check_l(l)
-    _check_dim(dim)
+    l, dim = _check_l(l), _check_dim(dim)
     return l + (dim - 2) / 2.0
 
 
 def nu_exact(l: int, dim: int) -> Fraction:
-    _check_l(l)
-    _check_dim(dim)
+    l, dim = _check_l(l), _check_dim(dim)
     return Fraction(2 * l + dim - 2, 2)
 
 
@@ -112,7 +116,7 @@ def bc_coefficients(channel: Channel, bc: BoundaryCondition, dim: int
     r^{(D-2)/2}, and the permeable condition differentiates the TE weight
     r^{(4-D)/2} instead.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     pc = bc is BoundaryCondition.PERFECTLY_CONDUCTING
     if channel is Channel.TE:
         return (Fraction(1), Fraction(0)) if pc else (Fraction(4 - dim, 2), Fraction(1))
@@ -123,8 +127,7 @@ def bc_coefficients(channel: Channel, bc: BoundaryCondition, dim: int
 
 def degeneracy(channel: Channel, l: int, dim: int) -> int:
     """Number of modes at angular number l (exact integer)."""
-    _check_l(l)
-    _check_dim(dim)
+    l, dim = _check_l(l), _check_dim(dim)
     if channel is Channel.TM:
         val = Fraction((2 * l + dim - 2) * math.factorial(l + dim - 3),
                        math.factorial(dim - 2) * math.factorial(l))
@@ -158,7 +161,7 @@ class DegeneracyPolynomial(RationalPolynomial):
 @lru_cache(maxsize=None)
 def degeneracy_polynomial(channel: Channel, dim: int) -> DegeneracyPolynomial:
     """Exact coefficients of the degeneracy in powers of nu (factorials cancelled)."""
-    _check_dim(dim)
+    dim = _check_dim(dim)
     s = Fraction(dim - 2, 2)
 
     def l_plus(i):  # l + i = nu + i - (D-2)/2

@@ -77,10 +77,18 @@ def test_monotonicity(nu):
 @pytest.mark.parametrize("ratio", [None, 0.5, -0.5, 7.0, -6.0])
 def test_uniform_series_matches_exact_per_order_sum(ratio):
     # the folded float polynomials against sum_k a_k(t)/nu^k in exact rationals
-    # at the same t, within 8 ulps of the sum of the terms' absolute values;
-    # an array call gives each element of its scalar calls
-    for nu, zs in ((50.5, np.logspace(-1.0, 5.0, 13)), (1000.5, np.logspace(0.0, 7.0, 8)),
-                   (0.5, np.array([1e8, 1e12])), (10.5, np.array([1e8, 3e9]))):
+    # at the same t, within 8 ulps of the sum of the terms' absolute values,
+    # for a float order and a column of orders;
+    # an array call gives each element of its scalar calls, and a column of
+    # orders against a block of z gives each row of its one-row calls
+    cases = ((50.5, np.logspace(-1.0, 5.0, 13)), (1000.5, np.logspace(0.0, 7.0, 8)),
+             (0.5, np.array([1e8, 1e12])), (10.5, np.array([1e8, 3e9])))
+    column = _uniform_series(np.array([[50.5], [1000.5]]),
+                             np.array([cases[0][1][:8], cases[1][1]]), ratio)
+    for row, (nu, zs) in enumerate(cases[:2]):
+        one = _uniform_series(np.array([[nu]]), zs[None, :8], ratio)
+        assert all(np.array_equal(a[row], b[0]) for a, b in zip(column, one))
+    for case, (nu, zs) in enumerate(cases):
         w, even, odd = _uniform_series(nu, zs, ratio)
         for i, z in enumerate(zs):
             assert _uniform_series(nu, float(z), ratio) == (w[i], even[i], odd[i])
@@ -94,7 +102,12 @@ def test_uniform_series_matches_exact_per_order_sum(ratio):
                 bound += float(sum(abs(c) * t ** j for j, c in enumerate(a.coefficients))
                                / Fraction(nu) ** k)
             tol = 8 * np.finfo(float).eps * bound
-            assert abs(even[i] - float(sums[0])) <= tol and abs(odd[i] - float(sums[1])) <= tol
+            scored = [(even[i], odd[i])]
+            if case < 2 and i < 8:
+                assert column[0][case, i] == w[i]
+                scored.append((column[1][case, i], column[2][case, i]))
+            for e, o in scored:
+                assert abs(e - float(sums[0])) <= tol and abs(o - float(sums[1])) <= tol
 
 
 def test_branch_overlap_series_vs_debye():

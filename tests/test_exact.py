@@ -38,6 +38,10 @@ def test_geometry_fields():
         Geometry(-1.0, 2.0, 3)
     with pytest.raises(ValueError):
         Geometry(1.0, 2.0, 2)
+    with pytest.raises(ValueError):
+        Geometry(1.0, 2.0, True)
+    g = Geometry.from_eps(0.1, np.int64(3))
+    assert g.dim == 3 and type(g.dim) is int
 
 
 def test_policy_validation():
@@ -118,6 +122,11 @@ def test_f_limits_and_signs():
         f_l(1, g, PCPC, Channel.TE, -1.0)
     with pytest.raises(ValueError):
         m_ratio(1, g, PCPC, Channel.TE, 0.0)
+    # an l from np.arange is an angular number; True is not l = 1
+    for l in (1, 60):
+        assert f_l(np.int64(l), g, PCPC, Channel.TE, 1.0) == f_l(l, g, PCPC, Channel.TE, 1.0)
+    with pytest.raises(ValueError):
+        f_l(True, g, PCPC, Channel.TE, 1.0)
 
 
 def test_f_precision_loss_for_touching_spheres():
@@ -453,7 +462,7 @@ def test_frequency_integral_within_its_estimate_of_quadpack():
     for (eps, l), (dim, bc, ch) in _ORACLE_CASES:
         kern = exact._Kernel(Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), ch)
         nu = nu_of(l, dim)
-        got, est = exact._zero_t_integral(kern, nu)
+        (got, est), = exact._zero_t_integrals(kern, [nu])
         want, qerr = _quad_reference(kern, nu)
         if not (abs(got - want) <= est + qerr and est <= 1e-12 * abs(got)):
             misses.append(f"eps={eps} D={dim} {bc} {ch.value} l={l}: {got!r} +- {est:.2e} "
@@ -556,11 +565,13 @@ def test_matsubara_sum_with_an_infinite_tail_bound_fails_at_its_cap():
 
 @pytest.mark.parametrize("width", [1, 7])
 def test_blocks_change_no_result(monkeypatch, width):
-    # scoring one node or frequency per call (width 1, the one-node oracle), or a
-    # few, gives the same results and counts: p_used 64 is reached at nu >= 50,
-    # the cap of 55 fails at l = 85, at eps = 0.5, T = 0.05 every order is
-    # below nu = 50, and the thermal correction's sums at the 1e-14 inner
-    # tolerance run to p = 262, across four 64-frequency blocks
+    # scoring one node, frequency or order per call (width 1, the one-node
+    # oracle), or a few, gives the same results and counts: p_used 64 is
+    # reached at nu >= 50, the cap of 55 fails at l = 85, at eps = 0.5,
+    # T = 0.05 every order is below nu = 50, and the thermal correction's
+    # sums at the 1e-14 inner tolerance run to p = 262, across four
+    # 64-frequency blocks; the vacuum sums cross nu = 50 into blocks of
+    # orders, stop at l = 51 just past it, or hit l_max_hard inside a block
     g = Geometry.from_eps(0.1, 3)
     walk_kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
 
@@ -570,22 +581,35 @@ def test_blocks_change_no_result(monkeypatch, width):
         correction = thermal_correction(g, PCPC, Channel.TE, 0.1)
         with pytest.raises(NonConvergenceError) as capped:
             free_energy(g, PCPC, Channel.TE, 0.5, TruncationPolicy(p_max_hard=55))
+        crossing = zero_T_energy(Geometry.from_eps(0.05, 3), PCIP, Channel.TM)
+        seam = zero_T_energy(Geometry.from_eps(0.2, 3), PCPC, Channel.TE, FAST)
+        with pytest.raises(NonConvergenceError) as vacuum_capped:
+            zero_T_energy(Geometry.from_eps(0.2, 3), PCPC, Channel.TE,
+                          TruncationPolicy(l_max_hard=60))
         kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
-        integrals = [exact._zero_t_integral(kern, nu)
-                     for nu in (1.5, 10.5, 49.5, 50.5, 61.5, 300.5)]
-        walks = [tuple(a.tolist() for a in exact._de_block_walk(walk_kern, nu, c))
-                 for nu in (10.5, 60.5) for c in (0.5, 5.0, 50.0)]
+        integrals = [exact._zero_t_integrals(kern, nu)
+                     for nu in ([1.5], [10.5], [49.5], [50.5, 61.5, 300.5], [300.5])]
+        walks = [[tuple(a.tolist() for a in walk)
+                  for walk in exact._de_block_walk(walk_kern, np.array(nu), np.array(c))]
+                 for nu, c in (([10.5], [0.5]), ([10.5], [5.0]), ([10.5], [50.0]),
+                               ([60.5, 60.5, 60.5], [0.5, 5.0, 50.0]))]
         return (free, low, correction,
                 (capped.value.partial, capped.value.l_used, capped.value.p_used),
+                crossing, seam, (vacuum_capped.value.partial, vacuum_capped.value.l_used,
+                                 vacuum_capped.value.p_used),
                 integrals, walks)
 
     blocked = run()
     assert (blocked[0].l_used, blocked[0].p_used) == (135, 64)
     assert blocked[1].l_used < 49
     assert blocked[2].p_used == 262
+    assert blocked[4].l_used > 50 and blocked[5].l_used == 51
+    assert blocked[6][1:] == (60, 0)
+    assert blocked[7][3][2] == blocked[7][4][0]
     monkeypatch.setattr(exact, "_P_FIRST", width)
     monkeypatch.setattr(exact, "_P_BLOCK", width)
     monkeypatch.setattr(exact, "_DE_BLOCK", width)
+    monkeypatch.setattr(exact, "_L_BLOCK", width)
     assert run() == blocked
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,15 @@ def test_nu_map():
         nu(0, 3)
     with pytest.raises(ValueError):
         nu(1, 2)
+    # numpy integers, as np.arange gives them, are integers; bools are not
+    assert nu(np.int64(3), np.int32(3)) == 3.5
+    assert type(nu(np.int64(3), 3)) is float
+    assert degeneracy(Channel.TE, np.int64(40), np.int64(5)) == degeneracy(Channel.TE, 40, 5)
+    for l, dim in ((True, 3), (1, True), (np.int64(0), 3), (1.0, 3), (1, np.float64(3.0))):
+        with pytest.raises(ValueError):
+            nu(l, dim)
+        with pytest.raises(ValueError):
+            degeneracy(Channel.TM, l, dim)
 
 
 def test_bc_table():

@@ -150,6 +150,12 @@ def calls():
            (Geometry.from_eps(0.05, 3), BoundaryPair.from_string("pc,ip")))
     yield ("zeroT rel_tol=1e-9 D=3 eps=0.01 bc=pc,pc ch=TE", zero_T_energy,
            (Geometry.from_eps(0.01, 3), pcpc, Channel.TE))
+    # Past nu = 50 the vacuum sum scores blocks of orders: one capped inside
+    # a block, and one that stops at l = 51, just past the seam.
+    yield ("zeroT l_max_hard=80 D=3 eps=0.02 bc=pc,pc", zero_T_energy,
+           (Geometry.from_eps(0.02, 3), pcpc, None, TruncationPolicy(l_max_hard=80)))
+    yield ("zeroT rel_tol=1e-6 D=3 eps=0.2 bc=pc,pc", zero_T_energy,
+           (Geometry.from_eps(0.2, 3), pcpc, None, fast))
     # At D = 4 the first order is nu = 2, whose integrand reaches K at small z.
     yield ("zeroT rel_tol=1e-9 D=4 eps=0.3 bc=pc,pc", zero_T_energy,
            (Geometry.from_eps(0.3, 4), pcpc))

@@ -2,8 +2,8 @@
 
 Like boundary conditions attract; a conducting sphere inside a permeable one
 (or vice versa) repels.  The force is the negative separation derivative of
-the energy at fixed inner radius, here by Richardson-extrapolated central
-differences.  The mixed configuration with the conducting sphere inside
+the energy at fixed inner radius, summed as the outer-radius derivative of
+each angular term.  The mixed configuration with the conducting sphere inside
 repels more strongly than the reverse, and the proximity-force approximation
 underestimates every magnitude.
 """

@@ -54,6 +54,11 @@ For -nu < alpha/beta < nu, c and t have the same sign; every boundary
 condition of the library has |alpha/beta| <= (D-2)/2 < nu.  A factor losing
 more than six decimal digits to cancellation triggers an arbitrary-precision
 recomputation.
+
+The force needs the logarithmic derivatives in z as well: _robin_slope gives
+z R'/R of a Robin combination below nu = 50 from the same ratio and the
+Bessel equation, and _uniform_slope the z-derivatives of E and O from the
+exact t-derivatives of the a_k, built on first use.
 """
 
 from __future__ import annotations
@@ -141,6 +146,13 @@ def _log_k_smallz(nu: float, z):
     return (math.lgamma(nu) - math.log(2.0) - nu * np.log(0.5 * z) + np.log(s))[()]
 
 
+def _a(k: int, ratio: Optional[float]):
+    """The exact polynomial a_k(t) of _uniform_series: u_k, or v_k + ratio t u_(k-1)."""
+    if ratio is None:
+        return debye_u(k)
+    return debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
+
+
 @lru_cache(maxsize=None)
 def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """Float coefficients of a_1 .. a_MAX_ORDER of _uniform_series, by parity.
@@ -153,9 +165,24 @@ def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = []
     for k in range(1, MAX_ORDER + 1):
-        a = debye_u(k) if ratio is None else \
-            debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
+        a = _a(k, ratio)
         rows.append([float(a.coefficient(j)) for j in range(k % 2, 3 * MAX_ORDER + 1, 2)])
+    return np.array(rows[1::2]), np.array(rows[0::2])
+
+
+@lru_cache(maxsize=None)
+def _slope_coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Float coefficients of the derivatives a_1' .. a_MAX_ORDER' in t, by parity of k.
+
+    a_k' has the parity of k - 1: row i of the even matrix holds the
+    coefficients of t^1, t^3, .. in a_(2i+2)', and row i of the odd one those
+    of t^0, t^2, .. in a_(2i+1)', so column j multiplies s^j (times t in the
+    even rows).  Differentiated exactly, built on first use per ratio.
+    """
+    rows = []
+    for k in range(1, MAX_ORDER + 1):
+        a = _a(k, ratio).derivative()
+        rows.append([float(a.coefficient(j)) for j in range((k + 1) % 2, 3 * MAX_ORDER, 2)])
     return np.array(rows[1::2]), np.array(rows[0::2])
 
 
@@ -184,6 +211,29 @@ def _uniform_series(nu, z, ratio: Optional[float] = None):
     for j in range(c_odd.shape[-1] - 2, -1, -1):
         odd = odd * s + c_odd[..., j]
     return w, even, t * odd
+
+
+def _uniform_slope(nu, z, ratio: Optional[float] = None):
+    """(w, E, O) of _uniform_series at nu, z, and z dE/dz, z dO/dz.
+
+    With ' = d/dt, dE/dt = sum_k a_k'(t)/nu^k over even k and dO/dt the odd
+    sum, from the exact derivative coefficients (_slope_coefficients), and
+    z dt/dz = -t^3 (z/nu)^2 from t = (1 + (z/nu)^2)^(-1/2).  ``nu`` and ``z``
+    broadcast as in _uniform_series.
+    """
+    w, even, odd = _uniform_series(nu, z, ratio)
+    even_rows, odd_rows = _slope_coefficients(ratio)
+    inv = np.asarray(nu)[..., None] ** -_ORDERS
+    c_even, c_odd = inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
+    t = 1.0 / w
+    s = t * t
+    d_even, d_odd = c_even[..., -1], c_odd[..., -1]  # both have a column per power of s
+    for j in range(c_even.shape[-1] - 2, -1, -1):
+        d_even = d_even * s + c_even[..., j]
+        d_odd = d_odd * s + c_odd[..., j]
+    zn = z / nu
+    z_dt = -t * s * zn * zn
+    return w, even, odd, z_dt * t * d_even, z_dt * d_odd
 
 
 def _log_i_debye(nu: float, z: float) -> float:
@@ -346,6 +396,27 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
             exact = _robin_mpmath(alpha, beta, nu, float(z[i]), kind)
             sign[i], log[i] = exact.sign, exact.log
     return _signed_log(shape, sign, log)
+
+
+def _robin_slope(alpha: float, beta: float, nu: float, z: np.ndarray, kind: str):
+    """(sign, ln|R|, z R'/R) of R = alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z.
+
+    rho = z B'/B is nu + q for I and -(nu + q) for K, with q = z I_{nu+1}/I_nu
+    or z K_{|nu-1|}/K_nu as in robin_combination, so R = B (alpha + beta rho).
+    The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
+    z R' = (alpha rho + beta (z^2 + nu^2)) B, hence
+    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (alpha + beta rho).  For
+    -nu < alpha/beta < nu, as in every boundary condition of the library,
+    neither sum cancels, so no element needs more digits.
+    """
+    lb0 = _log_bessel_array(kind, nu, z)
+    if kind == "I":
+        rho = nu + z * np.exp(_log_bessel_array("I", nu + 1.0, z) - lb0)
+    else:
+        rho = -(nu + z * np.exp(_log_bessel_array("K", abs(nu - 1.0), z) - lb0))
+    s = alpha + beta * rho
+    return (np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(s)),
+            (alpha * rho + beta * (z * z + nu * nu)) / s)
 
 
 def _signed_log(shape: tuple, sign: np.ndarray, log: np.ndarray) -> SignedLog:

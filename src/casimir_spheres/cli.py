@@ -144,7 +144,7 @@ _SETTINGS = (
     ("out", "--out", str, "output path, '-' for stdout"),
     ("threads", "--threads", int, None),
     ("golden", "--golden", str, "compare against a stored result file; exit 3 on drift"),
-    ("with_force", "--force", _parse_bool, "add central-difference forces to total rows"),
+    ("with_force", "--force", _parse_bool, "add the exact force -dE/dd to total rows"),
 )
 _ACTIONS = {"--bc": "append", "--force": "store_true"}
 _CONFIG_KEYS = {key: name for name, flag, *_ in _SETTINGS

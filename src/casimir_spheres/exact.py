@@ -24,8 +24,11 @@ numpy blocks of l, and the other routes run _l_by_l, whose stop rules read
 the terms one l at a time, in ascending order, and drop the orders of a
 block past the stop.  free_energy and zero_T_energy stop
 on a certified l-tail bound (power D-2 and D-1), folded into the error
-estimate; thermal_correction, whose per-l differences decay like
-T^(2 nu + 1), stops after two small differences past l = 3.  The stop rules
+estimate.  force, -dE/da2 at fixed a1, runs the same two sums on the
+a2-derivative of each term (_Kernel.df; M_l depends on a2 only through
+u2 = a2 xi), with the l-tail power one higher.  thermal_correction, whose
+per-l differences decay like T^(2 nu + 1), stops after two small
+differences past l = 3.  The stop rules
 read plain running totals; every sum that is returned (over l, over p, over
 the frequency nodes) is math.fsum of its kept terms, which is correctly
 rounded (Shewchuk 1997), so no block width or grouping changes a value.
@@ -41,7 +44,8 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import _DEBYE_MIN_NU, _uniform_series, robin_combination
+from .bessel import (_DEBYE_MIN_NU, _robin_slope, _uniform_series, _uniform_slope,
+                     robin_combination)
 from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
@@ -135,6 +139,43 @@ class _Kernel:
     def f(self, nu, u):
         """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m)."""
         return _log_one_minus_array(*self.log_m(nu, u))
+
+    def log_m_slope(self, nu, u):
+        """(sign, ln|M|, u2 d ln|M|/du2) at u2 = r21 u, with nu as in log_m and u an array.
+
+        M depends on a2 only through u2 = a2 xi.  In ratio form (nu >= 50),
+        dg/du2 = 2 nu w2/u2, so u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below,
+        it is z R'/R of the outer sphere's K combination less that of its I
+        combination (bessel._robin_slope), and u is a 1-d array.
+        """
+        u2 = self.r21 * u
+        if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
+            w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
+            w2, e2, o2, ze2, zo2 = _uniform_slope(nu, u2, self.ratios[1])
+            log_m = (-self._exponent(nu, w1, w2) + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
+                     - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
+            slope = -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
+                                      - (ze2 - zo2) / (1.0 + e2 - o2))
+            return (1 if self.homog else -1), log_m, slope
+        (a1, b1), (a2, b2) = self.ab1, self.ab2
+        i1 = robin_combination(a1, b1, nu, u, "I")
+        k1 = robin_combination(a1, b1, nu, u, "K")
+        i2_sign, i2_log, i2_slope = _robin_slope(a2, b2, nu, u2, "I")
+        k2_sign, k2_log, k2_slope = _robin_slope(a2, b2, nu, u2, "K")
+        return (i1.sign * k2_sign * i2_sign * k1.sign,
+                (i1.log + k2_log) - (i2_log + k1.log), k2_slope - i2_slope)
+
+    def df(self, nu, u):
+        """a1 df/da2 at fixed xi, u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21 (as log_m_slope).
+
+        M/(1 - M) is expm1(-f).
+        """
+        sign, log, slope = self.log_m_slope(nu, u)
+        return -np.expm1(-_log_one_minus_array(sign, log)) * slope / self.r21
+
+    def df0(self, nu):
+        """a1 df0/da2 = (2 nu / r21) x/(1 - x), x = pref (a1/a2)^(2 nu); x/(1 - x) = expm1(-f0)."""
+        return 2.0 * nu / self.r21 * np.expm1(-self.f0(nu))
 
     def _exponent(self, nu, w1, w2):
         """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
@@ -363,26 +404,35 @@ def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, terms, rule,
 
 
 def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
-                     p_max: int) -> tuple[float, float, int]:
-    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound.
+                     p_max: int, slope: bool = False) -> tuple[float, float, int]:
+    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound; with
+    ``slope``, a1 times its a2-derivative, df0/2 + sum_p df(u_p).
 
     The kernel scores _P_FIRST frequencies in the first call and _P_BLOCK in
     each later one; the tail test still runs one p at a time on a plain
     running total, and the value is math.fsum of the terms up to the stop,
-    so a block changes neither the sum nor the p where it stops.
+    so a block changes neither the sum nor the p where it stops.  The tail
+    past term p is |term| r/(1 - r), r = exp(-g'(u_p) du), as |M| falls at
+    least that fast; a df term carries a further factor that grows at most
+    like u (u d ln|M|/du2 ~ -2 sqrt(nu^2 + u2^2)/r21), so term p + k is
+    bounded by r^k (1 + k/p) |term p|, which sums to
+    r/(1 - r) (1 + 1/(p (1 - r))).
     """
     du = 2.0 * math.pi * a1T
-    terms = [0.5 * float(kern.f0(nu))]
+    zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
+    terms = [0.5 * float(zeroth(nu))]
     total = terms[0]
     p = 1
     while True:
         u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
-        values, rates = kern.f(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
+        values, rates = term(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
         for fv, rate in zip(values, rates):
             terms.append(fv)
             total += fv
             r = math.exp(-rate * du)
             tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
+            if slope and r < 1.0:
+                tail *= 1.0 + 1.0 / (p * (1.0 - r))
             if tail < rel_tol * max(abs(total), 1e-300):
                 return math.fsum(terms), tail, p
             if p >= p_max:
@@ -391,28 +441,44 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
             p += 1
 
 
-def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
-                channel: Optional[Channel], T: float,
-                policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
-    """Interaction free energy at temperature T > 0 (units of 1/a1 natural)."""
-    if not T > 0.0:
-        raise ValueError(f"free_energy requires T > 0, got {T}; use zero_T_energy at T=0")
+def _check_temperature(name: str, T: float, zero: bool = False) -> None:
+    """Reject a NaN, infinite or negative T, and T = 0 unless ``zero``."""
+    if not (math.isfinite(T) and (T >= 0.0 if zero else T > 0.0)):
+        raise ValueError(f"{name} requires a finite T {'>=' if zero else '>'} 0, got {T}")
+
+
+def _matsubara_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+                   T: float, policy: TruncationPolicy, scale: float,
+                   slope: bool = False) -> EnergyResult:
+    """scale * sum_l d_l (the order's _matsubara_block), over the channels, certified.
+
+    The l-tail power is D - 2 for the free energy and D - 1 for its
+    a2-derivative (``slope``), whose terms carry a further factor ~ 2 nu.
+    """
     a1T = geometry.a1 * T
 
     def matsubara_terms(kern, nu, d_l):
         for n, d in zip(nu, d_l):
             block, ptail, p = _matsubara_block(kern, n, a1T, policy.rel_tol / 20.0,
-                                               policy.p_max_hard)
-            yield T * d * block, T * d * ptail, p
+                                               policy.p_max_hard, slope)
+            yield scale * d * block, abs(scale) * d * ptail, p
 
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
         kern, geometry.dim, policy, matsubara_terms,
-        _certified_stop(policy, geometry.dim - 2, geometry.alpha_log)))
+        _certified_stop(policy, geometry.dim - 2 + slope, geometry.alpha_log)))
     return _certified(res, policy)
 
 
-def _de_values(kern: _Kernel, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """F(t) = u'(t) f(nu, u(t)) at t = k h, u = c exp(t - e^-t), in one kernel call.
+def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
+                channel: Optional[Channel], T: float,
+                policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
+    """Interaction free energy at temperature T > 0 (units of 1/a1 natural)."""
+    _check_temperature("free_energy", T)
+    return _matsubara_sum(geometry, bc_pair, channel, T, policy, T)
+
+
+def _de_values(integrand, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """F(t) = u'(t) integrand(nu, u(t)) at t = k h, u = c exp(t - e^-t), in one kernel call.
 
     One row per order of ``nu`` (with its scale in ``c``), one column per
     integer of ``ks``.  A node where u underflows is 0: the ratio form at
@@ -423,15 +489,15 @@ def _de_values(kern: _Kernel, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> 
     e = np.exp(-t)
     if nu[0] >= _DEBYE_MIN_NU:
         u = c[:, None] * np.exp(t - e)
-        return u * (1.0 + e) * kern.f(nu[:, None], u)
+        return u * (1.0 + e) * integrand(nu[:, None], u)
     u = c[0] * np.exp(t - e)
     live = u > 0.0
     values = np.zeros_like(u)
-    values[live] = u[live] * (1.0 + e[live]) * kern.f(float(nu[0]), u[live])
+    values[live] = u[live] * (1.0 + e[live]) * integrand(float(nu[0]), u[live])
     return values[None]
 
 
-def _de_block_walk(kern: _Kernel, nu: np.ndarray, c: np.ndarray) -> list:
+def _de_block_walk(integrand, nu: np.ndarray, c: np.ndarray) -> list:
     """The nodes k and values F(k h) of _zero_t_integrals' walk, two arrays per order.
 
     ``nu`` holds one order below nu = 50, or any number at nu >= 50, and
@@ -441,7 +507,7 @@ def _de_block_walk(kern: _Kernel, nu: np.ndarray, c: np.ndarray) -> list:
     carried into the left side); the nodes past it are dropped, and the
     orders whose side has not stopped are scored one block further, together.
     """
-    first = _de_values(kern, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
+    first = _de_values(integrand, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
     kept = [([], []) for _ in range(nu.size)]
     peak = np.zeros((nu.size, 1))
     for step, block in ((1, first[:, _DE_BLOCK:]), (-1, first[:, _DE_BLOCK - 1::-1])):
@@ -468,12 +534,14 @@ def _de_block_walk(kern: _Kernel, nu: np.ndarray, c: np.ndarray) -> list:
                 break
             rows, row_peaks = going, peak[going]
             k += step * _DE_BLOCK
-            block = _de_values(kern, nu[rows], c[rows], k + offsets)
+            block = _de_values(integrand, nu[rows], c[rows], k + offsets)
     return [(np.concatenate(ks), np.concatenate(values)) for ks, values in kept]
 
 
-def _zero_t_integrals(kern: _Kernel, nu: list[float]) -> list[tuple[float, float]]:
-    """int_0^infty f(nu, u) du and its error estimate for each order of ``nu``.
+def _zero_t_integrals(kern: _Kernel, nu: list[float],
+                      slope: bool = False) -> list[tuple[float, float]]:
+    """int_0^infty f(nu, u) du, or with ``slope`` that of df, and its error
+    estimate for each order of ``nu``.
 
     The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
     Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
@@ -490,7 +558,8 @@ def _zero_t_integrals(kern: _Kernel, nu: list[float]) -> list[tuple[float, float
     q = 1.0 / (kern.r21 * kern.r21 - 1.0)
     c = [min(order, math.sqrt(q * (2.0 * order + q))) for order in nu]
     out = []
-    for order, (k, values) in zip(nu, _de_block_walk(kern, np.array(nu), np.array(c))):
+    walk = _de_block_walk(kern.df if slope else kern.f, np.array(nu), np.array(c))
+    for order, (k, values) in zip(nu, walk):
         s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
                            for m in (1, 2, 4))
         d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
@@ -522,22 +591,29 @@ def _orders_to_stop(policy: TruncationPolicy, power: float, alpha: float):
     return width
 
 
-def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
-                  channel: Optional[Channel] = None,
-                  policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
-    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
-    inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
+def _vacuum_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+                policy: TruncationPolicy, scale: float, slope: bool = False) -> EnergyResult:
+    """scale * sum_l d_l int_0^inf f (or df, with ``slope``) du, over the channels, certified.
 
+    The l-tail power is D - 1 for the energy and D for its a2-derivative.
+    """
     def vacuum_terms(kern, nu, d_l):
-        for (integral, ierr), d in zip(_zero_t_integrals(kern, nu), d_l):
-            yield inv_2pi_a1 * d * integral, inv_2pi_a1 * d * ierr, 0
+        for (integral, ierr), d in zip(_zero_t_integrals(kern, nu, slope), d_l):
+            yield scale * d * integral, abs(scale) * d * ierr, 0
 
-    power = geometry.dim - 1
+    power = geometry.dim - 1 + slope
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
         kern, geometry.dim, policy, vacuum_terms,
         _certified_stop(policy, power, geometry.alpha_log),
         _orders_to_stop(policy, power, geometry.alpha_log)))
     return _certified(res, policy)
+
+
+def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
+                  channel: Optional[Channel] = None,
+                  policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
+    """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
+    return _vacuum_sum(geometry, bc_pair, channel, policy, 1.0 / (2.0 * math.pi * geometry.a1))
 
 
 def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
@@ -551,8 +627,7 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     A warning is attached when the correction is within a decade of the
     combined error estimate.
     """
-    if not T > 0.0:
-        raise ValueError(f"thermal_correction requires T > 0, got {T}")
+    _check_temperature("thermal_correction", T)
     a1T = geometry.a1 * T
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
@@ -583,25 +658,27 @@ def _energy(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel
     return free_energy(geometry, bc_pair, channel, T, policy)
 
 
+def _force(geometry: Geometry, bc_pair: BoundaryPair, T: float,
+           policy: TruncationPolicy) -> EnergyResult:
+    """force as a certified result: its value, per-channel split and error estimate."""
+    _check_temperature("force", T, zero=True)
+    scale = -1.0 / geometry.a1
+    if T == 0.0:
+        return _vacuum_sum(geometry, bc_pair, None, policy,
+                           scale / (2.0 * math.pi * geometry.a1), slope=True)
+    return _matsubara_sum(geometry, bc_pair, None, T, policy, scale * T, slope=True)
+
+
 def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,
           policy: TruncationPolicy = TruncationPolicy()) -> float:
-    """-dE/dd at fixed a1: negative = attractive.
+    """-dE/dd at fixed a1, that is -dE/da2: negative = attractive.
 
-    Central differences with one Richardson step; a disagreement above 1%
-    between the two stencils triggers an unreliable-derivative warning.
+    Differentiated under the l-sum: M_l depends on a2 only through
+    u2 = a2 xi, so each order's frequency integral (T = 0) or Matsubara sum
+    (T > 0) runs on a1 df/da2 = u df/du2 (_Kernel.df), plus the closed
+    a2-derivative of f_l(0) above T = 0.  The sums, their stops and their
+    error estimates are those of the energy, with the l-tail power one
+    higher; the result must meet ``policy.rel_tol`` like an energy, or
+    NonConvergenceError is raised.
     """
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T}")
-    d0 = geometry.d
-    h = max(1e-4 * d0, 1e-6 * geometry.a1)
-
-    energy_at = lambda dd: _energy(geometry.widened(dd), bc_pair, None, T, policy).value
-    d_coarse = (energy_at(d0 + h) - energy_at(d0 - h)) / (2.0 * h)
-    d_fine = (energy_at(d0 + 0.5 * h) - energy_at(d0 - 0.5 * h)) / h
-    deriv = (4.0 * d_fine - d_coarse) / 3.0
-    if abs(d_fine - d_coarse) > 0.01 * max(abs(deriv), 1e-300):
-        warnings.warn(
-            f"force derivative stencils disagree by "
-            f"{abs(d_fine - d_coarse) / max(abs(deriv), 1e-300):.2%}; "
-            "the returned force may be unreliable", RuntimeWarning, stacklevel=2)
-    return -deriv
+    return float(_force(geometry, bc_pair, T, policy).value)

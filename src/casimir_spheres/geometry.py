@@ -56,7 +56,7 @@ class Geometry:
         return cls(a1=a1, a2=a1 * (1.0 + eps), dim=dim)
 
     def widened(self, new_d: float) -> "Geometry":
-        """Same inner sphere, new separation (used by force differencing)."""
+        """Same inner sphere, new separation."""
         return Geometry(a1=self.a1, a2=self.a1 + new_d, dim=self.dim)
 
 

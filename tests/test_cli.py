@@ -323,7 +323,8 @@ def test_force_column(capsys):
 
 
 def test_failed_force_keeps_converged_energy(capsys):
-    # the energy converges at l = 33; the force stencil's eps - h point needs l = 34
+    # the energy converges at l = 33; the force's l-sum, whose terms carry a
+    # further factor ~ 2 nu / a2, needs l = 37
     argv = ["--mode", "point", "--dim", "3", "--eps", "0.323", "--temp", "1",
             "--bc", "pc,pc", "--channel", "total", "--rel-tol", "1e-6",
             "--l-max", "33"]

@@ -430,17 +430,19 @@ def test_zero_t_small_gap_converges_at_default_tolerance():
     assert abs(res.value - loose.value) <= loose.error_estimate
 
 
-def _quad_reference(kern, nu):
-    """(int_0^inf f(nu, u) du, its error) by QUADPACK at epsrel 2e-14 in s = u/c.
+def _quad_reference(kern, nu, slope=False):
+    """(int_0^inf f(nu, u) du, or that of df with ``slope``, and its error) by
+    QUADPACK at epsrel 2e-14 in s = u/c.
 
     c is the frequency rule's own scale, so [0, 1] and [1, inf) split the
     integrand where |M| has fallen by about e.
     """
     q = 1.0 / (kern.r21 ** 2 - 1.0)
     c = min(nu, math.sqrt(q * (2.0 * nu + q)))
+    value = (lambda u: kern.df(nu, np.array([u]))[0]) if slope else (lambda u: kern.f(nu, u))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        parts = [quad(lambda s: c * kern.f(nu, c * s), lo, hi, epsabs=0.0, epsrel=2e-14,
+        parts = [quad(lambda s: c * value(c * s), lo, hi, epsabs=0.0, epsrel=2e-14,
                       limit=200) for lo, hi in ((0.0, 1.0), (1.0, math.inf))]
     return sum(v for v, _ in parts), sum(e for _, e in parts)
 
@@ -456,14 +458,16 @@ _ORACLE_CASES = list(zip(
                                       (Channel.TE, Channel.TM)))))
 
 
-def test_frequency_integral_within_its_estimate_of_quadpack():
-    # 66 orders over D, pairs, channels and eps from 0.002 to 1e8.
+@pytest.mark.parametrize("slope", [False, True], ids=["f", "df"])
+def test_frequency_integral_within_its_estimate_of_quadpack(slope):
+    # 66 orders over D, pairs, channels and eps from 0.002 to 1e8; the
+    # energy's integrand f and the force's df.
     misses = []
     for (eps, l), (dim, bc, ch) in _ORACLE_CASES:
         kern = exact._Kernel(Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), ch)
         nu = nu_of(l, dim)
-        (got, est), = exact._zero_t_integrals(kern, [nu])
-        want, qerr = _quad_reference(kern, nu)
+        (got, est), = exact._zero_t_integrals(kern, [nu], slope)
+        want, qerr = _quad_reference(kern, nu, slope)
         if not (abs(got - want) <= est + qerr and est <= 1e-12 * abs(got)):
             misses.append(f"eps={eps} D={dim} {bc} {ch.value} l={l}: {got!r} +- {est:.2e} "
                           f"vs {want!r} +- {qerr:.2e}")
@@ -571,7 +575,9 @@ def test_blocks_change_no_result(monkeypatch, width):
     # T = 0.05 every order is below nu = 50, and the thermal correction's
     # sums at the 1e-14 inner tolerance run to p = 262, across four
     # 64-frequency blocks; the vacuum sums cross nu = 50 into blocks of
-    # orders, stop at l = 51 just past it, or hit l_max_hard inside a block
+    # orders, stop at l = 51 just past it, or hit l_max_hard inside a block;
+    # the forces' sums, on the a2-derivative of f, cross nu = 50 at T = 0 and
+    # run past p = 64 at T = 0.05
     g = Geometry.from_eps(0.1, 3)
     walk_kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
 
@@ -587,17 +593,20 @@ def test_blocks_change_no_result(monkeypatch, width):
             zero_T_energy(Geometry.from_eps(0.2, 3), PCPC, Channel.TE,
                           TruncationPolicy(l_max_hard=60))
         kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
-        integrals = [exact._zero_t_integrals(kern, nu)
-                     for nu in ([1.5], [10.5], [49.5], [50.5, 61.5, 300.5], [300.5])]
+        integrals = [exact._zero_t_integrals(kern, nu, slope)
+                     for nu in ([1.5], [10.5], [49.5], [50.5, 61.5, 300.5], [300.5])
+                     for slope in (False, True)]
+        forces = (exact._force(Geometry.from_eps(0.2, 3), PCPC, 0.0, FAST),
+                  exact._force(Geometry.from_eps(0.5, 3), PCIP, 0.05, FAST))
         walks = [[tuple(a.tolist() for a in walk)
-                  for walk in exact._de_block_walk(walk_kern, np.array(nu), np.array(c))]
+                  for walk in exact._de_block_walk(walk_kern.f, np.array(nu), np.array(c))]
                  for nu, c in (([10.5], [0.5]), ([10.5], [5.0]), ([10.5], [50.0]),
                                ([60.5, 60.5, 60.5], [0.5, 5.0, 50.0]))]
         return (free, low, correction,
                 (capped.value.partial, capped.value.l_used, capped.value.p_used),
                 crossing, seam, (vacuum_capped.value.partial, vacuum_capped.value.l_used,
                                  vacuum_capped.value.p_used),
-                integrals, walks)
+                integrals, walks, forces)
 
     blocked = run()
     assert (blocked[0].l_used, blocked[0].p_used) == (135, 64)
@@ -605,7 +614,8 @@ def test_blocks_change_no_result(monkeypatch, width):
     assert blocked[2].p_used == 262
     assert blocked[4].l_used > 50 and blocked[5].l_used == 51
     assert blocked[6][1:] == (60, 0)
-    assert blocked[7][3][2] == blocked[7][4][0]
+    assert blocked[7][6][2] == blocked[7][8][0] and blocked[7][7][2] == blocked[7][9][0]
+    assert blocked[9][0].l_used > 50 and blocked[9][1].p_used > 64
     monkeypatch.setattr(exact, "_P_FIRST", width)
     monkeypatch.setattr(exact, "_P_BLOCK", width)
     monkeypatch.setattr(exact, "_DE_BLOCK", width)
@@ -675,6 +685,17 @@ def test_force_matches_pfa_scale_at_small_gap():
 def test_force_rejects_negative_temperature():
     with pytest.raises(ValueError):
         force(Geometry(1.0, 1.5, 3), PCPC, -1.0)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["force", "free_energy", "thermal_correction"])
+def test_non_finite_temperature_rejected_by_name(name, T):
+    g = Geometry(1.0, 1.5, 3)
+    call = {"force": lambda: force(g, PCPC, T),
+            "free_energy": lambda: free_energy(g, PCPC, None, T),
+            "thermal_correction": lambda: thermal_correction(g, PCPC, None, T)}[name]
+    with pytest.raises(ValueError, match=f"^{name} requires a finite T"):
+        call()
 
 
 def test_free_energy_at_large_eps_is_classical():

@@ -1,11 +1,12 @@
-"""Dump every field of the exact energies on a fixed grid, bit for bit.
+"""Dump every field of the exact energies and forces on a fixed grid, bit for bit.
 
 Each line is one call: its arguments, then either the full result (value,
 per-channel split, l_used, p_used, error_estimate, warnings; floats as
 float.hex) or the exception type and its ``partial``, ``l_used`` and
-``p_used``.  Then come the exact
-tables behind the series: every term of the small-gap expansions (D 3..16,
-four pairs, TE/TM/total) and of the assembly route (D 4..16), the degeneracy
+``p_used``; a force call records the result whose value ``force`` returns.
+Then come the exact tables behind the series: every term of the small-gap
+expansions (D 3..16, four pairs, TE/TM/total) and of the assembly route
+(D 4..16), the degeneracy
 polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), the order-one Debye polynomials
 at the library's Robin ratios, ln I and ln K across the z = 1e8 seam
@@ -46,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from casimir_spheres import cli, log_bessel_i, log_bessel_k
+from casimir_spheres import cli, exact, log_bessel_i, log_bessel_k
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
                              TruncationPolicy, assemble_zero_T_expansion,
                              classical_term, debye_m, debye_u,
@@ -164,6 +165,12 @@ def calls():
         yield (f"zeroT l_max_hard=200 D=3 eps={eps} bc={bc}", zero_T_energy,
                (Geometry.from_eps(float(eps), 3), BoundaryPair.from_string(bc), None,
                 TruncationPolicy(l_max_hard=200)))
+    # Forces, with the sums and estimate behind force's float (exact._force);
+    # eps = 0.05 reaches past nu = 50 at T = 0.
+    for dim, eps, bc, temp in itertools.product((3, 5), (0.05, 0.3), ("pc,pc", "pc,ip"),
+                                                (0.0, 0.5, 10.0)):
+        yield (f"force T={temp} D={dim} eps={eps} bc={bc}", exact._force,
+               (Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), temp, fast))
 
 
 def cli_runs():

@@ -486,8 +486,9 @@ def pfa_thermal_force(dim: int, a1: float, T: float) -> float:
 
 def exact_thermal_force_leading(dim: int, inner_bc: BoundaryCondition,
                                 a1: float, T: float) -> float:
-    """Low-T thermal force correction from the exact energy; PC inner gives
-    D^2/4 times the PFA value."""
+    """Low-T thermal force on the inner sphere, -d(Delta_T E)/da1 at fixed a2, from
+    thermal_leading (as a1^D); PC inner gives D^2/4 times the PFA value.
+    exact.force is -dE/da2 at fixed a1, where this T^(D+1) term drops out."""
     if inner_bc is _PC:
         return -dim ** 2 * (dim - 1) / 2.0 / a1 * _thermal_base(dim, a1, T)
     return -dim ** 2 / (dim - 2.0) / a1 * _thermal_base(dim, a1, T)

@@ -56,9 +56,10 @@ more than six decimal digits to cancellation triggers an arbitrary-precision
 recomputation.
 
 The force needs the logarithmic derivatives in z as well: _robin_slope gives
-z R'/R of a Robin combination below nu = 50 from the same ratio and the
-Bessel equation, and _uniform_slope the z-derivatives of E and O from the
-exact t-derivatives of the a_k, built on first use.
+z R'/R of a Robin combination below nu = 50 from the same neighbour ratio
+(_log_and_neighbour) and the Bessel equation, and _uniform_slope the
+z-derivatives of E and O by differentiating the polynomials of
+_uniform_series' own fold (_fold) in Horner's rule.
 """
 
 from __future__ import annotations
@@ -146,44 +147,31 @@ def _log_k_smallz(nu: float, z):
     return (math.lgamma(nu) - math.log(2.0) - nu * np.log(0.5 * z) + np.log(s))[()]
 
 
-def _a(k: int, ratio: Optional[float]):
-    """The exact polynomial a_k(t) of _uniform_series: u_k, or v_k + ratio t u_(k-1)."""
-    if ratio is None:
-        return debye_u(k)
-    return debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
-
-
 @lru_cache(maxsize=None)
 def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     """Float coefficients of a_1 .. a_MAX_ORDER of _uniform_series, by parity.
 
-    a_k(t) has the parity of k: row i of the even matrix holds the
-    coefficients of t^0, t^2, .. t^(3 MAX_ORDER) in a_(2i+2), and row i of
-    the odd one those of t^1, t^3, .. in a_(2i+1), so column j multiplies s^j,
-    s = t^2 (times t in the odd rows).  Built once per ratio, in exact
-    rational arithmetic.
+    a_k(t) is u_k, or v_k + ratio t u_(k-1), and has the parity of k: row i
+    of the even matrix holds the coefficients of t^0, t^2, .. t^(3 MAX_ORDER)
+    in a_(2i+2), and row i of the odd one those of t^1, t^3, .. in a_(2i+1),
+    so column j multiplies s^j, s = t^2 (times t in the odd rows).  Built
+    once per ratio, in exact rational arithmetic.
     """
     rows = []
     for k in range(1, MAX_ORDER + 1):
-        a = _a(k, ratio)
+        a = debye_u(k) if ratio is None else \
+            debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
         rows.append([float(a.coefficient(j)) for j in range(k % 2, 3 * MAX_ORDER + 1, 2)])
     return np.array(rows[1::2]), np.array(rows[0::2])
 
 
-@lru_cache(maxsize=None)
-def _slope_coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Float coefficients of the derivatives a_1' .. a_MAX_ORDER' in t, by parity of k.
-
-    a_k' has the parity of k - 1: row i of the even matrix holds the
-    coefficients of t^1, t^3, .. in a_(2i+2)', and row i of the odd one those
-    of t^0, t^2, .. in a_(2i+1)', so column j multiplies s^j (times t in the
-    even rows).  Differentiated exactly, built on first use per ratio.
-    """
-    rows = []
-    for k in range(1, MAX_ORDER + 1):
-        a = _a(k, ratio).derivative()
-        rows.append([float(a.coefficient(j)) for j in range((k + 1) % 2, 3 * MAX_ORDER, 2)])
-    return np.array(rows[1::2]), np.array(rows[0::2])
+def _fold(nu, z, ratio: Optional[float]):
+    """w, t = 1/w and, along the last axis, the coefficients of P(s) and Q(s) of
+    E = P(s), O = t Q(s), s = t^2, per order; nu and z as in _uniform_series."""
+    even_rows, odd_rows = _coefficients(ratio)
+    inv = np.asarray(nu)[..., None] ** -_ORDERS
+    w = np.hypot(1.0, z / nu)
+    return w, 1.0 / w, inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
 
 
 def _uniform_series(nu, z, ratio: Optional[float] = None):
@@ -195,15 +183,12 @@ def _uniform_series(nu, z, ratio: Optional[float] = None):
     1 + E + O, the K-type one 1 + E - O.  ``z`` is a float or an array, and
     ``nu`` a float or an array that broadcasts against it, such as a column
     of orders against one row of z per order.  Each order's 1/nu^k fold the
-    coefficient matrices into one even polynomial in s = t^2 and one odd
-    one, scored on every z of its row at once by Horner's rule, which
-    allocates no array of the powers of s; no row depends on the others.
+    coefficient matrices (_fold) into one even polynomial P in s = t^2 and
+    one odd one t Q(s), scored on every z of its row at once by Horner's
+    rule, which allocates no array of the powers of s; no row depends on the
+    others.
     """
-    even_rows, odd_rows = _coefficients(ratio)
-    inv = np.asarray(nu)[..., None] ** -_ORDERS
-    c_even, c_odd = inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
-    w = np.hypot(1.0, z / nu)
-    t = 1.0 / w
+    w, t, c_even, c_odd = _fold(nu, z, ratio)
     s = t * t
     even, odd = c_even[..., -1], c_odd[..., -1]
     for j in range(c_even.shape[-1] - 2, -1, -1):
@@ -216,24 +201,25 @@ def _uniform_series(nu, z, ratio: Optional[float] = None):
 def _uniform_slope(nu, z, ratio: Optional[float] = None):
     """(w, E, O) of _uniform_series at nu, z, and z dE/dz, z dO/dz.
 
-    With ' = d/dt, dE/dt = sum_k a_k'(t)/nu^k over even k and dO/dt the odd
-    sum, from the exact derivative coefficients (_slope_coefficients), and
-    z dt/dz = -t^3 (z/nu)^2 from t = (1 + (z/nu)^2)^(-1/2).  ``nu`` and ``z``
-    broadcast as in _uniform_series.
+    From the same fold: with E = P(s), O = t Q(s) and s = t^2,
+    dE/dt = 2t P'(s) and dO/dt = Q(s) + 2s Q'(s), each polynomial scored
+    together with its derivative by Horner's rule, and
+    z dt/dz = -t^3 (z/nu)^2 from t = (1 + (z/nu)^2)^(-1/2).  w, E and O are
+    _uniform_series' to the bit.  ``nu`` and ``z`` broadcast as there.
     """
-    w, even, odd = _uniform_series(nu, z, ratio)
-    even_rows, odd_rows = _slope_coefficients(ratio)
-    inv = np.asarray(nu)[..., None] ** -_ORDERS
-    c_even, c_odd = inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
-    t = 1.0 / w
+    w, t, c_even, c_odd = _fold(nu, z, ratio)
     s = t * t
-    d_even, d_odd = c_even[..., -1], c_odd[..., -1]  # both have a column per power of s
+    even, d_even = c_even[..., -1], 0.0
     for j in range(c_even.shape[-1] - 2, -1, -1):
-        d_even = d_even * s + c_even[..., j]
-        d_odd = d_odd * s + c_odd[..., j]
+        d_even = d_even * s + even
+        even = even * s + c_even[..., j]
+    odd, d_odd = c_odd[..., -1], 0.0
+    for j in range(c_odd.shape[-1] - 2, -1, -1):
+        d_odd = d_odd * s + odd
+        odd = odd * s + c_odd[..., j]
     zn = z / nu
     z_dt = -t * s * zn * zn
-    return w, even, odd, z_dt * t * d_even, z_dt * d_odd
+    return w, even, t * odd, z_dt * 2.0 * t * d_even, z_dt * (odd + 2.0 * s * d_odd)
 
 
 def _log_i_debye(nu: float, z: float) -> float:
@@ -360,6 +346,13 @@ def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> 
         return SignedLog(int(mp.sign(comb)), float(mp.log(abs(comb))))
 
 
+def _log_and_neighbour(kind: str, nu: float, z: np.ndarray):
+    """ln B_nu and q = z I_{nu+1}/I_nu (kind "I") or z K_{|nu-1|}/K_nu at a 1-d array of z."""
+    lb0 = _log_bessel_array(kind, nu, z)
+    other = nu + 1.0 if kind == "I" else abs(nu - 1.0)
+    return lb0, z * np.exp(_log_bessel_array(kind, other, z) - lb0)
+
+
 def robin_combination(alpha: float, beta: float, nu: float, z,
                       kind: Literal["I", "K"]) -> SignedLog:
     """alpha*B_nu(z) + beta*z*B'_nu(z) as a SignedLog, B in {I, K}; z a float or an array.
@@ -379,15 +372,11 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
     shape = np.shape(z)
     z = np.asarray(z, dtype=float).ravel()
     _check_args(nu, z)
-    lb0 = _log_bessel_array(kind, nu, z)
     if beta == 0.0:  # the factor is alpha
-        sign, log = np.full(z.shape, 1 if alpha > 0.0 else -1), lb0 + math.log(abs(alpha))
-        return _signed_log(shape, sign, log)
-    if kind == "I":
-        c, t = alpha + beta * nu, beta * z * np.exp(_log_bessel_array("I", nu + 1.0, z) - lb0)
-    else:
-        c = alpha - beta * nu
-        t = -beta * z * np.exp(_log_bessel_array("K", abs(nu - 1.0), z) - lb0)
+        sign = np.full(z.shape, 1 if alpha > 0.0 else -1)
+        return _signed_log(shape, sign, _log_bessel_array(kind, nu, z) + math.log(abs(alpha)))
+    lb0, q = _log_and_neighbour(kind, nu, z)
+    c, t = (alpha + beta * nu, beta * q) if kind == "I" else (alpha - beta * nu, -beta * q)
     s = c + t
     cancelled = np.abs(s) * 10.0 ** _CANCEL_DIGITS <= np.maximum(abs(c), np.abs(t))
     sign, log = np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(np.where(cancelled, 1.0, s)))
@@ -401,19 +390,16 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
 def _robin_slope(alpha: float, beta: float, nu: float, z: np.ndarray, kind: str):
     """(sign, ln|R|, z R'/R) of R = alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z.
 
-    rho = z B'/B is nu + q for I and -(nu + q) for K, with q = z I_{nu+1}/I_nu
-    or z K_{|nu-1|}/K_nu as in robin_combination, so R = B (alpha + beta rho).
+    rho = z B'/B is nu + q for I and -(nu + q) for K, with q from
+    _log_and_neighbour, so R = B (alpha + beta rho).
     The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
     z R' = (alpha rho + beta (z^2 + nu^2)) B, hence
     z R'/R = (alpha rho + beta (z^2 + nu^2)) / (alpha + beta rho).  For
     -nu < alpha/beta < nu, as in every boundary condition of the library,
     neither sum cancels, so no element needs more digits.
     """
-    lb0 = _log_bessel_array(kind, nu, z)
-    if kind == "I":
-        rho = nu + z * np.exp(_log_bessel_array("I", nu + 1.0, z) - lb0)
-    else:
-        rho = -(nu + z * np.exp(_log_bessel_array("K", abs(nu - 1.0), z) - lb0))
+    lb0, q = _log_and_neighbour(kind, nu, z)
+    rho = nu + q if kind == "I" else -(nu + q)
     s = alpha + beta * rho
     return (np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(s)),
             (alpha * rho + beta * (z * z + nu * nu)) / s)

@@ -24,11 +24,12 @@ numpy blocks of l, and the other routes run _l_by_l, whose stop rules read
 the terms one l at a time, in ascending order, and drop the orders of a
 block past the stop.  free_energy and zero_T_energy stop
 on a certified l-tail bound (power D-2 and D-1), folded into the error
-estimate.  force, -dE/da2 at fixed a1, runs the same two sums on the
-a2-derivative of each term (_Kernel.df; M_l depends on a2 only through
-u2 = a2 xi), with the l-tail power one higher.  thermal_correction, whose
-per-l differences decay like T^(2 nu + 1), stops after two small
-differences past l = 3.  The stop rules
+estimate.  force, -dE/da2 at fixed a1 (the force on the outer sphere), runs
+the same two sums on the a2-derivative of each term (_Kernel.df; M_l
+depends on a2 only through u2 = a2 xi), with the l-tail power one higher,
+on a kernel whose ln|M| is log_m's (to the bit at nu >= 50, from one
+ratio-form helper).  thermal_correction, whose per-l differences decay like
+T^(2 nu + 1), stops after two small differences past l = 3.  The stop rules
 read plain running totals; every sum that is returned (over l, over p, over
 the frequency nodes) is math.fsum of its kept terms, which is correctly
 rounded (Shewchuk 1997), so no block width or grouping changes a value.
@@ -119,14 +120,8 @@ class _Kernel:
         """
         u2 = self.r21 * u
         if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
-            # Uniform expansion in ratio form, ln|M| = -g(u) + X1(u) - X2(u2) with
-            # X = ln[(1 + E + O)/(1 + E - O)]: the sqrt(nu) and w prefactors cancel,
-            # and a mixed pair (one sphere with beta = 0) makes M negative.
-            w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
-            w2, e2, o2 = _uniform_series(nu, u2, self.ratios[1])
-            log_m = (-self._exponent(nu, w1, w2) + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
-                     - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
-            return (1 if self.homog else -1), log_m
+            return self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]),
+                                    _uniform_series(nu, u2, self.ratios[1]))
         a1, b1 = self.ab1
         a2, b2 = self.ab2
         i1 = robin_combination(a1, b1, nu, u, "I")
@@ -150,13 +145,12 @@ class _Kernel:
         """
         u2 = self.r21 * u
         if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
-            w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
             w2, e2, o2, ze2, zo2 = _uniform_slope(nu, u2, self.ratios[1])
-            log_m = (-self._exponent(nu, w1, w2) + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
-                     - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
+            sign, log_m = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]),
+                                           (w2, e2, o2))
             slope = -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
                                       - (ze2 - zo2) / (1.0 + e2 - o2))
-            return (1 if self.homog else -1), log_m, slope
+            return sign, log_m, slope
         (a1, b1), (a2, b2) = self.ab1, self.ab2
         i1 = robin_combination(a1, b1, nu, u, "I")
         k1 = robin_combination(a1, b1, nu, u, "K")
@@ -177,9 +171,16 @@ class _Kernel:
         """a1 df0/da2 = (2 nu / r21) x/(1 - x), x = pref (a1/a2)^(2 nu); x/(1 - x) = expm1(-f0)."""
         return 2.0 * nu / self.r21 * np.expm1(-self.f0(nu))
 
-    def _exponent(self, nu, w1, w2):
-        """g = 2 nu [eta(r21 u/nu) - eta(u/nu)] from the two w, as one log; |M| ~ exp(-g)."""
-        return 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
+    def _ratio_form(self, nu, inner, outer):
+        """(sign, ln|M|) = -g + X1 - X2 from the uniform (w, E, O) at u and u2.
+
+        X = ln[(1 + E + O)/(1 + E - O)], g = 2 nu [eta(u2/nu) - eta(u/nu)] as one
+        log; the sqrt(nu) and w prefactors cancel, and a mixed pair (one sphere
+        with beta = 0) makes M negative."""
+        (w1, e1, o1), (w2, e2, o2) = inner, outer
+        g = 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
+        return (1 if self.homog else -1), (-g + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
+                                           - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
 
     def decay_rate(self, nu: float, u):
         """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u."""
@@ -672,6 +673,10 @@ def _force(geometry: Geometry, bc_pair: BoundaryPair, T: float,
 def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,
           policy: TruncationPolicy = TruncationPolicy()) -> float:
     """-dE/dd at fixed a1, that is -dE/da2: negative = attractive.
+
+    The force on the outer sphere: the T^(D+1) term of thermal_correction
+    depends on a1 alone and drops out, unlike in
+    asymptotics.exact_thermal_force_leading, -d(Delta_T E)/da1 at fixed a2.
 
     Differentiated under the l-sum: M_l depends on a2 only through
     u2 = a2 xi, so each order's frequency integral (T = 0) or Matsubara sum

@@ -11,7 +11,7 @@ from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel,
                              expansion_coefficient_functions, high_T_expansion,
                              parallel_plate_density, pfa_energy,
                              pfa_thermal_force, riemann_zeta, sphere_area,
-                             thermal_leading, zero_T_expansion)
+                             thermal_correction, thermal_leading, zero_T_expansion)
 from casimir_spheres.asymptotics import _channel_weight, _effective_zeta
 
 PC = BoundaryCondition.PERFECTLY_CONDUCTING
@@ -305,3 +305,19 @@ def test_thermal_force_ratio():
         * riemann_zeta(4) * 0.2 ** 4
     assert exact_thermal_force_leading(3, PC, 1.0, 0.2) == pytest.approx(
         expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim,pair", [(3, PCPC), (3, IPPC), (4, PCPC), (4, IPPC)])
+def test_exact_thermal_force_leading_is_the_inner_sphere_force(dim, pair):
+    # -d(Delta_T E)/da1 at fixed a2 = 2, a1 = 1, by a central difference
+    # (h = 1e-3) of the exact thermal correction: its ratio to the leading
+    # term falls toward 1 as T falls, and is within 2% of it at T = 0.02
+    h = 1e-3
+    ratios = []
+    for T in (0.05, 0.03, 0.02):
+        plus, minus = (thermal_correction(Geometry(1.0 + s, 2.0, dim), pair, None, T).value
+                       for s in (h, -h))
+        ratios.append(-(plus - minus) / (2 * h)
+                      / exact_thermal_force_leading(dim, pair.inner, 1.0, T))
+    assert ratios[0] > ratios[1] > ratios[2] > 1.0
+    assert ratios[2] == pytest.approx(1.0, abs=0.02)

@@ -14,7 +14,7 @@ from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel, Geometry,
                              bc_coefficients, debye_u, debye_v,
                              log_bessel_i, log_bessel_k, m_ratio, robin_combination)
 from casimir_spheres.bessel import (_log_i_debye, _log_i_series, _log_k_debye, _log_k_smallz,
-                                    _uniform_series)
+                                    _uniform_series, _uniform_slope)
 from casimir_spheres.debye import MAX_ORDER
 
 # (nu, z) -> ln I_nu(z), ln K_nu(z); mpmath besseli/besselk, dps=40
@@ -78,36 +78,49 @@ def test_monotonicity(nu):
 def test_uniform_series_matches_exact_per_order_sum(ratio):
     # the folded float polynomials against sum_k a_k(t)/nu^k in exact rationals
     # at the same t, within 8 ulps of the sum of the terms' absolute values,
-    # for a float order and a column of orders;
+    # for a float order and a column of orders; _uniform_slope's z dE/dz and
+    # z dO/dz likewise against sum_k a_k'(t)/nu^k times z dt/dz = -t^3 (z/nu)^2,
+    # with a_k' from RationalPolynomial.derivative, and its (w, E, O) are
+    # _uniform_series' to the bit;
     # an array call gives each element of its scalar calls, and a column of
     # orders against a block of z gives each row of its one-row calls
     cases = ((50.5, np.logspace(-1.0, 5.0, 13)), (1000.5, np.logspace(0.0, 7.0, 8)),
              (0.5, np.array([1e8, 1e12])), (10.5, np.array([1e8, 3e9])))
-    column = _uniform_series(np.array([[50.5], [1000.5]]),
-                             np.array([cases[0][1][:8], cases[1][1]]), ratio)
+    column_nu, column_z = np.array([[50.5], [1000.5]]), np.array([cases[0][1][:8], cases[1][1]])
+    column = _uniform_series(column_nu, column_z, ratio)
+    column_slope = _uniform_slope(column_nu, column_z, ratio)
+    assert all(np.array_equal(a, b) for a, b in zip(column, column_slope))
     for row, (nu, zs) in enumerate(cases[:2]):
-        one = _uniform_series(np.array([[nu]]), zs[None, :8], ratio)
-        assert all(np.array_equal(a[row], b[0]) for a, b in zip(column, one))
+        for fn, full in ((_uniform_series, column), (_uniform_slope, column_slope)):
+            one = fn(np.array([[nu]]), zs[None, :8], ratio)
+            assert all(np.array_equal(a[row], b[0]) for a, b in zip(full, one))
     for case, (nu, zs) in enumerate(cases):
         w, even, odd = _uniform_series(nu, zs, ratio)
+        slope = _uniform_slope(nu, zs, ratio)
+        assert all(np.array_equal(a, b) for a, b in zip((w, even, odd), slope))
         for i, z in enumerate(zs):
             assert _uniform_series(nu, float(z), ratio) == (w[i], even[i], odd[i])
+            assert _uniform_slope(nu, float(z), ratio) == tuple(x[i] for x in slope)
             t = Fraction(1.0 / w[i])
-            sums, bound = [Fraction(0), Fraction(0)], 0.0
+            z_dt = -t ** 3 * (Fraction(z) / Fraction(nu)) ** 2
+            sums, bound = [Fraction(0)] * 4, [0.0] * 2
             for k in range(1, MAX_ORDER + 1):
                 a = debye_u(k) if ratio is None else \
                     debye_v(k) + debye_u(k - 1).shift_powers(1).scale(ratio)
-                term = sum(c * t ** j for j, c in enumerate(a.coefficients)) / Fraction(nu) ** k
-                sums[k % 2] += term
-                bound += float(sum(abs(c) * t ** j for j, c in enumerate(a.coefficients))
-                               / Fraction(nu) ** k)
-            tol = 8 * np.finfo(float).eps * bound
-            scored = [(even[i], odd[i])]
+                for n, p in enumerate((a, a.derivative())):
+                    sums[2 * n + k % 2] += sum(c * t ** j for j, c in enumerate(p.coefficients)) \
+                        / Fraction(nu) ** k
+                    bound[n] += float(sum(abs(c) * t ** j for j, c in enumerate(p.coefficients))
+                                      / Fraction(nu) ** k)
+            exact = [float(x) for x in sums[:2]] + [float(x * z_dt) for x in sums[2:]]
+            ulps = 8 * np.finfo(float).eps
+            tol = [ulps * bound[0]] * 2 + [ulps * bound[1] * abs(float(z_dt))] * 2
+            scored = [[x[i] for x in slope[1:]]]
             if case < 2 and i < 8:
                 assert column[0][case, i] == w[i]
-                scored.append((column[1][case, i], column[2][case, i]))
-            for e, o in scored:
-                assert abs(e - float(sums[0])) <= tol and abs(o - float(sums[1])) <= tol
+                scored.append([x[case, i] for x in column_slope[1:]])
+            for values in scored:
+                assert all(abs(v - x) <= e for v, x, e in zip(values, exact, tol))
 
 
 def test_branch_overlap_series_vs_debye():

@@ -1,8 +1,11 @@
 """The a2-derivative layers of the force kernel against frozen mpmath values.
 
 Two tables at 40 digits: d ln|alpha B + beta z B'|/dz of bessel._robin_slope
-(below nu = 50) and d ln|M|/du2 of _Kernel.log_m_slope in ratio form (nu >= 50).
+(below nu = 50) and d ln|M|/du2 of _Kernel.log_m_slope in ratio form (nu >= 50),
+and log_m_slope's ln|M| against log_m's on both sides of nu = 50.
 """
+
+import itertools
 
 import numpy as np
 
@@ -388,4 +391,25 @@ def test_ratio_form_m_slope_dense_grid():
             if not _close(slope[i] / u2[i], x):
                 misses.append(f"{bc} {ch} nu={nu} z/nu={M_ZB[i]}: "
                               f"{slope[i] / u2[i]!r} vs {x!r}")
+    assert not misses, "\n".join(misses)
+
+
+def test_log_m_slope_sees_log_m():
+    """log_m_slope's (sign, ln|M|) is log_m's: to the bit at nu >= 50, for a float
+    order and a column of orders, and within 1e-14 max(1, |ln|M||) below, where the
+    outer sphere's combinations come from bessel._robin_slope, at D = 3 and 5."""
+    misses, column = [], np.array([[50.5], [100.5]])
+    for dim, bc, ch in itertools.product((3, 5), M_PAIRS, (Channel.TE, Channel.TM)):
+        kern = exact._Kernel(Geometry.from_eps(M_EPS, dim), BoundaryPair.from_string(bc), ch)
+        for nu in (8.5, 49.5, 50.5, 100.5, column):
+            u = nu * np.array(M_ZB)
+            sign, log = kern.log_m(nu, u)
+            slope_sign, slope_log, _ = kern.log_m_slope(nu, u)
+            label = f"D={dim} {bc} {ch.value} nu={np.ravel(nu)}"
+            if isinstance(nu, np.ndarray) or nu >= 50.0:
+                if not (np.array_equal(sign, slope_sign) and np.array_equal(log, slope_log)):
+                    misses.append(f"{label}: {slope_log!r} vs {log!r}")
+            elif not (np.array_equal(sign, slope_sign) and
+                      (np.abs(slope_log - log) <= 1e-14 * np.maximum(1.0, np.abs(log))).all()):
+                misses.append(f"{label}: {slope_sign} {slope_log!r} vs {sign} {log!r}")
     assert not misses, "\n".join(misses)

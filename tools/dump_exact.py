@@ -89,8 +89,7 @@ def _record(label, fn, *args):
 def calls():
     """(label, function, args) for every call of the dump."""
     fast = TruncationPolicy(rel_tol=1e-6)
-    grid = itertools.product((3, 4), (0.3, 0.6), ("pc,pc", "pc,ip", "ip,pc"),
-                             (None, Channel.TE))
+    grid = itertools.product((3, 4), (0.3, 0.6), PAIRS, (None, Channel.TE))
     for dim, eps, bc, ch in grid:
         g, pair = Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc)
         tag = f"D={dim} eps={eps} bc={bc} ch={ch and ch.value}"
@@ -167,7 +166,7 @@ def calls():
                 TruncationPolicy(l_max_hard=200)))
     # Forces, with the sums and estimate behind force's float (exact._force);
     # eps = 0.05 reaches past nu = 50 at T = 0.
-    for dim, eps, bc, temp in itertools.product((3, 5), (0.05, 0.3), ("pc,pc", "pc,ip"),
+    for dim, eps, bc, temp in itertools.product((3, 5), (0.05, 0.3), PAIRS,
                                                 (0.0, 0.5, 10.0)):
         yield (f"force T={temp} D={dim} eps={eps} bc={bc}", exact._force,
                (Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), temp, fast))

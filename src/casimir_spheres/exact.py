@@ -16,9 +16,11 @@ array of u: from the uniform expansion in ratio form at nu >= 50, also on
 a column of orders against one row of u per order, and from the Robin
 combinations below.  Both per-order walks (the frequency integral's nodes
 and the Matsubara frequencies) score a block of points per kernel call,
-with the stops, sums and counts of a one-point walk; at nu >= 50 the
-frequency walk scores a block of up to _L_BLOCK orders per call, sized from
-the orders left to the l-sum's stop.  One channel loop, _by_channel, runs
+with the stops, sums and counts of a one-point walk; the Matsubara walk
+sizes each block from the stop that the decay of |M| predicts, so most
+orders take one call, and at nu >= 50 the frequency walk scores a block of
+up to _L_BLOCK orders per call, sized from the orders left to the l-sum's
+stop.  One channel loop, _by_channel, runs
 every route and aggregates failures; under it the classical term sums
 numpy blocks of l, and the other routes run _l_by_l, whose stop rules read
 the terms one l at a time, in ascending order, and drop the orders of a
@@ -68,12 +70,11 @@ _DE_STEP = 0.1  # step h in t of the frequency integral's trapezoid rule
 _DE_CUT = 1e-17  # each side of the t-walk stops at |F| <= _DE_CUT * max|F|
 _DE_BLOCK = 40  # t-nodes per side and kernel call, where a side takes 24-45
 _L_BLOCK = 64  # most orders per kernel call of the vacuum l-sum, at nu >= 50
-# Matsubara frequencies per kernel call: _P_FIRST in the first, which ends most sums
-# at T ~ 1 (p = 5-11 at gaps 0.2-0.3) while one of one or two frequencies (T ~ 10)
-# wastes little, then _P_BLOCK per call for the long low-T sums (p = 50-300).
-# A call below nu = 50 costs about as much as 50 points.
-_P_FIRST = 12
-_P_BLOCK = 64
+# Matsubara frequencies per kernel call: _P_SHORT if a scalar estimate ends the sum
+# within them (T ~ 1-10), else up to the predicted stop, at most _P_CAP.  A call below
+# nu = 50 costs about as much as 50 points.
+_P_SHORT = 12
+_P_CAP = 1024
 # ln(1 - e^s) is log(-expm1(s)) above this s and log1p(-exp(s)) below it
 # (Maechler 2012, switch at -ln 2): each form keeps full relative accuracy on its side.
 _LOG1MEXP_SWITCH = -0.693
@@ -182,10 +183,12 @@ class _Kernel:
         return (1 if self.homog else -1), (-g + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
                                            - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
 
-    def decay_rate(self, nu: float, u):
-        """g'(u) = 2 nu (w2 - w1) / u, with w = sqrt(1 + (z/nu)^2) at z = u and r21 u."""
-        w1, w2 = np.hypot(1.0, u / nu), np.hypot(1.0, self.r21 * u / nu)
-        return 2.0 * nu * (w2 - w1) / u
+    def decay(self, nu: float, u, lib=np):
+        """(g'(u), w1, w2), w = sqrt(1 + (z/nu)^2) at z = u > 0 and r21 u: |M| falls like
+        e^(-g), g = 2 nu [w2 - w1 + ln((1 + w1)/(1 + w2))] (as in _ratio_form, less
+        2 nu ln r21), at the rate g' = 2 nu (w2 - w1)/u.  ``lib`` is math or numpy."""
+        w1, w2 = lib.hypot(1.0, u / nu), lib.hypot(1.0, self.r21 * u / nu)
+        return 2.0 * nu * (w2 - w1) / u, w1, w2
 
 
 def _log_one_minus_array(sign, log):
@@ -404,30 +407,72 @@ def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, terms, rule,
                                   p_used=max(p_used, exc.p_used)) from None
 
 
+def _matsubara_window(kern: _Kernel, nu: float, du: float, p: int, p_max: int, ref: float,
+                      total: float, rel_tol: float, slope: bool):
+    """The frequencies u_p, u_(p+1), .. of _matsubara_block's next kernel call, and g'(u).
+
+    The tail test runs ahead on estimated terms, ref e^(h(u_(p-1)) - h(u_k)), with ref
+    the last term (f0 or df0 at u_0 = 0) and h = g of _Kernel.decay, less ln w2 for df
+    (u2 d ln|M|/du2 ~ -2 nu w2), on |total| plus these terms.  A scalar estimate at the
+    _P_SHORT-th frequency, on |total| alone, takes the short sums; else the window ends
+    _P_SHORT/2 + 5% past the first estimated stop, within _P_CAP frequencies.  No test
+    divides, so r = exp(-g' du) = 1 warns of nothing.
+    """
+    def exponent(k, lib):
+        rates, w1, w2 = kern.decay(nu, du * k, lib)
+        h = 2.0 * nu * (w2 - w1 + lib.log((1.0 + w1) / (1.0 + w2)))
+        return rates, (h - lib.log(w2) if slope else h), lib.exp(-rates * du)
+
+    def tail_fits(k, est, r, total):
+        one = 1.0 - r
+        if slope:
+            return est * r * (k * one + 1.0) <= rel_tol * total * one * (k * one)
+        return est * r <= rel_tol * total * one
+
+    last = min(p + _P_CAP, p_max + 1)
+    short = min(p + _P_SHORT, last)
+    h_ref = exponent(p - 1, math)[1] if p > 1 else 0.0
+    if du > 0.0:  # else a1 T underflowed, and the kernel rejects u = 0
+        _, h, r = exponent(short - 1, math)
+        if tail_fits(short - 1, ref * math.exp(h_ref - h), r, total):
+            u = du * np.arange(p, short)
+            return u, kern.decay(nu, u)[0]
+    ks = np.arange(p, last)
+    rates, h, r = exponent(ks, np)
+    est = ref * np.exp(h_ref - h)
+    fit = tail_fits(ks, est, r, total + np.cumsum(est))
+    n = ks.size
+    if fit.any():
+        first = int(fit.argmax()) + 1
+        n = min(n, first + _P_SHORT // 2 + first // 20)
+    return du * ks[:n], rates[:n]
+
+
 def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                      p_max: int, slope: bool = False) -> tuple[float, float, int]:
     """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound; with
     ``slope``, a1 times its a2-derivative, df0/2 + sum_p df(u_p).
 
-    The kernel scores _P_FIRST frequencies in the first call and _P_BLOCK in
-    each later one; the tail test still runs one p at a time on a plain
-    running total, and the value is math.fsum of the terms up to the stop,
-    so a block changes neither the sum nor the p where it stops.  The tail
-    past term p is |term| r/(1 - r), r = exp(-g'(u_p) du), as |M| falls at
-    least that fast; a df term carries a further factor that grows at most
-    like u (u d ln|M|/du2 ~ -2 sqrt(nu^2 + u2^2)/r21), so term p + k is
-    bounded by r^k (1 + k/p) |term p|, which sums to
-    r/(1 - r) (1 + 1/(p (1 - r))).
+    Each kernel call scores the frequencies of _matsubara_window, up to the stop
+    that the decay of |M| predicts (one call for most orders); the tail test
+    still runs one p at a time on a plain running total, and the value is
+    math.fsum of the terms up to the stop, so a window changes neither the sum
+    nor the p where it stops.  The tail past term p is |term| r/(1 - r),
+    r = exp(-g'(u_p) du), as |M| falls at least that fast; a df term carries a
+    further factor that grows at most like u (u d ln|M|/du2 ~
+    -2 sqrt(nu^2 + u2^2)/r21), so term p + k is bounded by r^k (1 + k/p) |term p|,
+    which sums to r/(1 - r) (1 + 1/(p (1 - r))).
     """
     du = 2.0 * math.pi * a1T
     zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
-    terms = [0.5 * float(zeroth(nu))]
+    f0 = float(zeroth(nu))
+    terms = [0.5 * f0]
     total = terms[0]
-    p = 1
+    p, ref = 1, abs(f0)
     while True:
-        u = du * np.arange(p, min(p + (_P_FIRST if p == 1 else _P_BLOCK), p_max + 1))
-        values, rates = term(nu, u).tolist(), kern.decay_rate(nu, u).tolist()
-        for fv, rate in zip(values, rates):
+        u, rates = _matsubara_window(kern, nu, du, p, p_max, ref, abs(total), rel_tol, slope)
+        values = term(nu, u).tolist()
+        for fv, rate in zip(values, rates.tolist()):
             terms.append(fv)
             total += fv
             r = math.exp(-rate * du)
@@ -440,6 +485,7 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                 raise NonConvergenceError(
                     f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
             p += 1
+        ref = abs(values[-1])
 
 
 def _check_temperature(name: str, T: float, zero: bool = False) -> None:

@@ -559,7 +559,7 @@ def test_matsubara_sum_with_an_infinite_tail_bound_fails_at_its_cap():
     kern = exact._Kernel(Geometry.from_eps(0.1, 3), PCPC, Channel.TE)
     du = 2.0 * math.pi * 1e-9
     u = du * np.arange(1, 21)
-    assert np.count_nonzero(np.exp(-kern.decay_rate(1.5, u) * du) == 1.0) == 7
+    assert np.count_nonzero(np.exp(-kern.decay(1.5, u)[0] * du) == 1.0) == 7
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergenceError) as info:
@@ -567,14 +567,85 @@ def test_matsubara_sum_with_an_infinite_tail_bound_fails_at_its_cap():
     assert info.value.p_used == 20
 
 
+def _matsubara_outcome(kern, nu, a1T, p_max, slope):
+    """(value, tail, p) of one order's Matsubara sum, or its failure's p_used."""
+    try:
+        return exact._matsubara_block(kern, nu, a1T, 5e-11, p_max, slope)
+    except NonConvergenceError as exc:
+        return NonConvergenceError, exc.p_used
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_windows_match_the_one_frequency_oracle_at_the_edges(monkeypatch, slope):
+    # the window estimate, scalar or array, raises no numpy warning where
+    # exp(-g' du) rounds to 1 (a1 T = 1e-9) or every sum stops at p = 1
+    # (a1 T = 100), on both sides of nu = 50 and far past it, with M > 0 and
+    # M < 0, and gives the bits, p_used and failures of one frequency per
+    # call: also where p_max cuts the short or the estimated window
+    # (stops at p = 374-877 at a1 T = 0.05) and across windows (a1 T = 0.01)
+    kernels = [exact._Kernel(Geometry.from_eps(0.1, 3), PCPC, Channel.TE),
+               exact._Kernel(Geometry.from_eps(0.1, 3), PCIP, Channel.TM)]
+    cases = [(nu, a1T, p_max) for nu in (1.5, 49.5, 50.5, 300.5)
+             for a1T, p_max in ((1e-9, 40), (100.0, 10**5), (0.05, 10**5),
+                                (0.05, 10), (0.05, 300))] + [(1.5, 0.01, 10**5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        windowed = [_matsubara_outcome(kern, *case, slope)
+                    for kern in kernels for case in cases]
+        monkeypatch.setattr(exact, "_P_CAP", 1)
+        oracle = [_matsubara_outcome(kern, *case, slope)
+                  for kern in kernels for case in cases]
+    assert windowed == oracle
+    assert windowed[-1][2] > exact._P_SHORT + 1024  # past the first window
+    with warnings.catch_warnings():  # a1 T that underflows to 0 reaches the kernel's check
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="argument must be finite and > 0"):
+            exact._matsubara_block(kernels[0], 1.5, 0.0, 5e-11, 50, slope)
+    outcomes = dict(zip(cases, windowed))
+    assert outcomes[1.5, 1e-9, 40] == (NonConvergenceError, 40)
+    assert outcomes[300.5, 100.0, 10**5][2] == 1
+    assert outcomes[1.5, 0.05, 10] == (NonConvergenceError, 10)
+    assert outcomes[300.5, 0.05, 300] == (NonConvergenceError, 300)
+
+
+def test_low_T_sums_take_about_one_kernel_call_per_order(monkeypatch):
+    # each kernel call scores the frequencies up to the predicted stop, so
+    # sums of 80-260 frequencies per order take about one call per order
+    counts = {"calls": 0, "orders": 0}
+    inside = [False]
+    kernel_f, block = exact._Kernel.f, exact._matsubara_block
+
+    def spy_f(self, nu, u):
+        counts["calls"] += inside[0]
+        return kernel_f(self, nu, u)
+
+    def spy_block(*args):
+        inside[0] = True
+        try:
+            return block(*args)
+        finally:
+            inside[0] = False
+            counts["orders"] += 1
+
+    monkeypatch.setattr(exact._Kernel, "f", spy_f)
+    monkeypatch.setattr(exact, "_matsubara_block", spy_block)
+    g = Geometry.from_eps(0.5, 3)
+    for run in (lambda: free_energy(g, PCPC, None, 0.05),
+                lambda: thermal_correction(g, PCPC, None, 0.05)):
+        counts.update(calls=0, orders=0)
+        assert run().p_used > 64
+        assert counts["orders"] > 10 and counts["calls"] <= 1.2 * counts["orders"]
+
+
 @pytest.mark.parametrize("width", [1, 7])
 def test_blocks_change_no_result(monkeypatch, width):
     # scoring one node, frequency or order per call (width 1, the one-node
-    # oracle), or a few, gives the same results and counts: p_used 64 is
-    # reached at nu >= 50, the cap of 55 fails at l = 85, at eps = 0.5,
-    # T = 0.05 every order is below nu = 50, and the thermal correction's
-    # sums at the 1e-14 inner tolerance run to p = 262, across four
-    # 64-frequency blocks; the vacuum sums cross nu = 50 into blocks of
+    # oracle, or 7: the most frequencies per call, _P_CAP, caps the windows
+    # sized from the predicted stop), or a few, gives the same results and
+    # counts: p_used 64 is reached at nu >= 50, the cap of 55 fails at
+    # l = 85, at eps = 0.5, T = 0.05 every order is below nu = 50, and the
+    # thermal correction's sums at the 1e-14 inner tolerance run to p = 262,
+    # in one window of frequencies each; the vacuum sums cross nu = 50 into blocks of
     # orders, stop at l = 51 just past it, or hit l_max_hard inside a block;
     # the forces' sums, on the a2-derivative of f, cross nu = 50 at T = 0 and
     # run past p = 64 at T = 0.05
@@ -616,8 +687,7 @@ def test_blocks_change_no_result(monkeypatch, width):
     assert blocked[6][1:] == (60, 0)
     assert blocked[7][6][2] == blocked[7][8][0] and blocked[7][7][2] == blocked[7][9][0]
     assert blocked[9][0].l_used > 50 and blocked[9][1].p_used > 64
-    monkeypatch.setattr(exact, "_P_FIRST", width)
-    monkeypatch.setattr(exact, "_P_BLOCK", width)
+    monkeypatch.setattr(exact, "_P_CAP", width)
     monkeypatch.setattr(exact, "_DE_BLOCK", width)
     monkeypatch.setattr(exact, "_L_BLOCK", width)
     assert run() == blocked

@@ -170,6 +170,11 @@ def calls():
                                                 (0.0, 0.5, 10.0)):
         yield (f"force T={temp} D={dim} eps={eps} bc={bc}", exact._force,
                (Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), temp, fast))
+    # At T = 0.05 the forces' Matsubara sums run past p = 64, so the estimate that
+    # sizes each kernel call's window of frequencies decides long sums of df too.
+    for bc in ("pc,pc", "pc,ip"):
+        yield (f"force T=0.05 D=3 eps=0.5 bc={bc}", exact._force,
+               (Geometry.from_eps(0.5, 3), BoundaryPair.from_string(bc), 0.05, fast))
 
 
 def cli_runs():

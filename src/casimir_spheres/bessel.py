@@ -56,10 +56,10 @@ more than six decimal digits to cancellation triggers an arbitrary-precision
 recomputation.
 
 The force needs the logarithmic derivatives in z as well: _robin_slope gives
-z R'/R of a Robin combination below nu = 50 from the same neighbour ratio
-(_log_and_neighbour) and the Bessel equation, and _uniform_slope the
-z-derivatives of E and O by differentiating the polynomials of
-_uniform_series' own fold (_fold) in Horner's rule.
+ln|R| and z R'/R of a Robin combination below nu = 50 from the same
+neighbour ratio (_log_and_neighbour) and the Bessel equation, and
+_uniform_slope the z-derivatives of E and O by differentiating the
+polynomials of _uniform_series' own fold (_fold) in Horner's rule.
 """
 
 from __future__ import annotations
@@ -388,21 +388,22 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
 
 
 def _robin_slope(alpha: float, beta: float, nu: float, z: np.ndarray, kind: str):
-    """(sign, ln|R|, z R'/R) of R = alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z.
+    """(ln|R|, z R'/R) of R = alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z.
 
     rho = z B'/B is nu + q for I and -(nu + q) for K, with q from
-    _log_and_neighbour, so R = B (alpha + beta rho).
+    _log_and_neighbour, so R = B (alpha + beta rho) = B (c + t), the factor
+    of robin_combination formed as there, whose ln|R| this is to the bit.
     The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
     z R' = (alpha rho + beta (z^2 + nu^2)) B, hence
-    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (alpha + beta rho).  For
+    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (c + t).  For
     -nu < alpha/beta < nu, as in every boundary condition of the library,
-    neither sum cancels, so no element needs more digits.
+    neither sum cancels, so no element needs more digits; R has the sign of c.
     """
     lb0, q = _log_and_neighbour(kind, nu, z)
-    rho = nu + q if kind == "I" else -(nu + q)
-    s = alpha + beta * rho
-    return (np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(s)),
-            (alpha * rho + beta * (z * z + nu * nu)) / s)
+    rho, c, t = (nu + q, alpha + beta * nu, beta * q) if kind == "I" \
+        else (-(nu + q), alpha - beta * nu, -beta * q)
+    s = c + t
+    return lb0 + np.log(np.abs(s)), (alpha * rho + beta * (z * z + nu * nu)) / s
 
 
 def _signed_log(shape: tuple, sign: np.ndarray, log: np.ndarray) -> SignedLog:

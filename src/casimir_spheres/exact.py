@@ -5,7 +5,10 @@ The TE or TM contribution at temperature T is the Matsubara sum
     E = T sum_l d_l(D) [ f_l(0)/2 + sum_{p>=1} f_l(xi_p) ],    xi_p = 2 pi p T,
 
 with f_l(xi) = ln(1 - M_l(xi)) built from Robin combinations of I_nu and
-K_nu at the two radii; at T = 0 the sum over p becomes the integral
+K_nu at the two radii; M_l has the boundary pair's sign at every order and
+frequency (> 0 for pc,pc and ip,ip, < 0 for pc,ip and ip,pc), so the kernel
+works with ln|M_l| and one channel's sign.  At T = 0 the sum over p becomes
+the integral
 
     E_0 = 1/(2 pi) sum_l d_l(D) int_0^infty f_l(xi) dxi,
 
@@ -29,12 +32,12 @@ on a certified l-tail bound (power D-2 and D-1), folded into the error
 estimate.  force, -dE/da2 at fixed a1 (the force on the outer sphere), runs
 the same two sums on the a2-derivative of each term (_Kernel.df; M_l
 depends on a2 only through u2 = a2 xi), with the l-tail power one higher,
-on a kernel whose ln|M| is log_m's (to the bit at nu >= 50, from one
-ratio-form helper).  thermal_correction, whose per-l differences decay like
-T^(2 nu + 1), stops after two small differences past l = 3.  The stop rules
-read plain running totals; every sum that is returned (over l, over p, over
-the frequency nodes) is math.fsum of its kept terms, which is correctly
-rounded (Shewchuk 1997), so no block width or grouping changes a value.
+on a kernel whose ln|M| is log_m's to the bit.  thermal_correction, whose
+per-l differences decay like T^(2 nu + 1), stops after two small
+differences past l = 3.  The stop rules read plain running totals; every
+sum that is returned (over l, over p, over the frequency nodes) is
+math.fsum of its kept terms, which is correctly rounded (Shewchuk 1997), so
+no block width or grouping changes a value.
 """
 
 from __future__ import annotations
@@ -84,10 +87,14 @@ class _Kernel:
     """One channel's f(nu, u) = ln(1 - M) at any real order nu and u = a1 * xi.
 
     Built once per channel: the radius ratio, ln(a2/a1), the two Robin pairs
-    and their ratios and the degeneracy polynomial do not depend on nu.
+    and their ratios, the degeneracy polynomial and the sign of M do not
+    depend on nu.  ``sign`` is +1 for a homogeneous pair and -1 for a mixed
+    one: each Robin factor c + t has the sign of c = alpha +- beta nu (as
+    |alpha/beta| < nu), so M has that of f0's prefactor at every order and
+    u.  The methods give ln|M|.
     """
 
-    __slots__ = ("r21", "alpha_log", "ab1", "ab2", "ratios", "homog", "degeneracy")
+    __slots__ = ("r21", "alpha_log", "ab1", "ab2", "ratios", "sign", "degeneracy")
 
     def __init__(self, geometry: Geometry, bc_pair: BoundaryPair, channel: Channel):
         self.r21 = geometry.a2 / geometry.a1
@@ -97,7 +104,7 @@ class _Kernel:
         self.ab1 = (float(a1c[0]), float(a1c[1]))
         self.ab2 = (float(a2c[0]), float(a2c[1]))
         self.ratios = tuple(None if c[1] == 0 else float(c[0] / c[1]) for c in (a1c, a2c))
-        self.homog = bc_pair.is_homogeneous
+        self.sign = 1 if bc_pair.is_homogeneous else -1
         self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
 
     def f0(self, nu):
@@ -107,14 +114,14 @@ class _Kernel:
         is 1 for a homogeneous pair.
         """
         s = -2.0 * nu * self.alpha_log
-        if self.homog:
+        if self.sign > 0:
             return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
         (a1, b1), (a2, b2) = self.ab1, self.ab2
         pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
         return np.log1p(-pref * np.exp(s))
 
     def log_m(self, nu, u):
-        """(sign, ln|M|) at order nu and u = a1 * xi > 0, a float or an array.
+        """ln|M| at order nu and u = a1 * xi > 0, a float or an array.
 
         ``nu`` is a float, or an array of orders at nu >= 50 that broadcasts
         against u, such as a column of orders against one row of u per order.
@@ -129,15 +136,14 @@ class _Kernel:
         k2 = robin_combination(a2, b2, nu, u2, "K")
         i2 = robin_combination(a2, b2, nu, u2, "I")
         k1 = robin_combination(a1, b1, nu, u, "K")
-        return (i1.sign * k2.sign * i2.sign * k1.sign,
-                (i1.log + k2.log) - (i2.log + k1.log))
+        return (i1.log + k2.log) - (i2.log + k1.log)
 
     def f(self, nu, u):
         """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m)."""
-        return _log_one_minus_array(*self.log_m(nu, u))
+        return _log_one_minus_array(self.sign, self.log_m(nu, u))
 
     def log_m_slope(self, nu, u):
-        """(sign, ln|M|, u2 d ln|M|/du2) at u2 = r21 u, with nu as in log_m and u an array.
+        """(ln|M|, u2 d ln|M|/du2) at u2 = r21 u, with nu as in log_m and u an array.
 
         M depends on a2 only through u2 = a2 xi.  In ratio form (nu >= 50),
         dg/du2 = 2 nu w2/u2, so u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below,
@@ -147,41 +153,37 @@ class _Kernel:
         u2 = self.r21 * u
         if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
             w2, e2, o2, ze2, zo2 = _uniform_slope(nu, u2, self.ratios[1])
-            sign, log_m = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]),
-                                           (w2, e2, o2))
-            slope = -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
-                                      - (ze2 - zo2) / (1.0 + e2 - o2))
-            return sign, log_m, slope
+            log_m = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), (w2, e2, o2))
+            return log_m, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
+                                            - (ze2 - zo2) / (1.0 + e2 - o2))
         (a1, b1), (a2, b2) = self.ab1, self.ab2
         i1 = robin_combination(a1, b1, nu, u, "I")
         k1 = robin_combination(a1, b1, nu, u, "K")
-        i2_sign, i2_log, i2_slope = _robin_slope(a2, b2, nu, u2, "I")
-        k2_sign, k2_log, k2_slope = _robin_slope(a2, b2, nu, u2, "K")
-        return (i1.sign * k2_sign * i2_sign * k1.sign,
-                (i1.log + k2_log) - (i2_log + k1.log), k2_slope - i2_slope)
+        i2_log, i2_slope = _robin_slope(a2, b2, nu, u2, "I")
+        k2_log, k2_slope = _robin_slope(a2, b2, nu, u2, "K")
+        return (i1.log + k2_log) - (i2_log + k1.log), k2_slope - i2_slope
 
     def df(self, nu, u):
         """a1 df/da2 at fixed xi, u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21 (as log_m_slope).
 
         M/(1 - M) is expm1(-f).
         """
-        sign, log, slope = self.log_m_slope(nu, u)
-        return -np.expm1(-_log_one_minus_array(sign, log)) * slope / self.r21
+        log, slope = self.log_m_slope(nu, u)
+        return -np.expm1(-_log_one_minus_array(self.sign, log)) * slope / self.r21
 
     def df0(self, nu):
         """a1 df0/da2 = (2 nu / r21) x/(1 - x), x = pref (a1/a2)^(2 nu); x/(1 - x) = expm1(-f0)."""
         return 2.0 * nu / self.r21 * np.expm1(-self.f0(nu))
 
     def _ratio_form(self, nu, inner, outer):
-        """(sign, ln|M|) = -g + X1 - X2 from the uniform (w, E, O) at u and u2.
+        """ln|M| = -g + X1 - X2 from the uniform (w, E, O) at u and u2; M has the pair's sign.
 
         X = ln[(1 + E + O)/(1 + E - O)], g = 2 nu [eta(u2/nu) - eta(u/nu)] as one
-        log; the sqrt(nu) and w prefactors cancel, and a mixed pair (one sphere
-        with beta = 0) makes M negative."""
+        log; the sqrt(nu) and w prefactors cancel."""
         (w1, e1, o1), (w2, e2, o2) = inner, outer
         g = 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
-        return (1 if self.homog else -1), (-g + (np.log1p(e1 + o1) - np.log1p(e1 - o1))
-                                           - (np.log1p(e2 + o2) - np.log1p(e2 - o2)))
+        return -g + (np.log1p(e1 + o1) - np.log1p(e1 - o1)) \
+            - (np.log1p(e2 + o2) - np.log1p(e2 - o2))
 
     def decay(self, nu: float, u, lib=np):
         """(g'(u), w1, w2), w = sqrt(1 + (z/nu)^2) at z = u > 0 and r21 u: |M| falls like
@@ -191,31 +193,26 @@ class _Kernel:
         return 2.0 * nu * (w2 - w1) / u, w1, w2
 
 
-def _log_one_minus_array(sign, log):
+def _log_one_minus_array(sign: int, log):
     """ln(1 - M) from M = sign * exp(log), element by element, for arrays or floats.
 
-    ``sign`` is one sign or an array of them.  Stable near M = 1 and for
-    M < -1; raises PrecisionLossError if any element has M >= 1, or M near 1
-    with 1 - M < 1e-12.  Each element takes the form of its sign; the forms
-    are written so that the ones not taken stay finite, and np.where drops
-    them.  Floats in give a numpy float out (the ``[()]``).
+    ``sign`` is the channel's one sign of M (_Kernel.sign), and only its form
+    is scored.  Stable near M = 1 and for M < -1; for M > 0, raises
+    PrecisionLossError if any element has M >= 1, or M near 1 with
+    1 - M < 1e-12.  Floats in give a numpy float out (the ``[()]``).
     """
     log = np.asarray(log, dtype=float)
-    positive = np.greater(sign, 0)
-    if (positive & (log >= 0.0)).any():
+    if sign < 0:  # ln(1 + |M|) in a form that cannot overflow
+        return (np.maximum(log, 0.0) + np.log1p(np.exp(-np.abs(log))))[()]
+    if (log >= 0.0).any():
         raise PrecisionLossError("reflection coefficient reached 1 within float "
-                                 f"resolution (log={np.max(log[positive & (log >= 0.0)])})")
-    # 0 < M < 1; -1 stands in for the other elements' logs
-    m_log = np.where(positive, log, -1.0)
-    one_minus = -np.expm1(m_log)
-    near_one = m_log > _LOG1MEXP_SWITCH
+                                 f"resolution (log={np.max(log[log >= 0.0])})")
+    one_minus = -np.expm1(log)
+    near_one = log > _LOG1MEXP_SWITCH
     if (near_one & (one_minus < 1e-12)).any():
         raise PrecisionLossError("1 - M underflowed the supported relative tolerance "
                                  f"({np.min(one_minus[near_one])})")
-    minus = np.where(near_one, np.log(one_minus), np.log1p(-np.exp(m_log)))
-    # M < 0: ln(1 + |M|) in a form that cannot overflow
-    plus = np.maximum(log, 0.0) + np.log1p(np.exp(-np.abs(log)))
-    return np.where(np.less(sign, 0), plus, np.where(positive, minus, 0.0))[()]
+    return np.where(near_one, np.log(one_minus), np.log1p(-np.exp(log)))[()]
 
 
 def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
@@ -224,8 +221,8 @@ def m_ratio(l: int, geometry: Geometry, bc_pair: BoundaryPair,
     if not 0.0 < xi < math.inf:
         raise ValueError(f"xi must be positive and finite, got {xi}")
     nu = nu_of(l, geometry.dim)
-    sign, log = _Kernel(geometry, bc_pair, channel).log_m(nu, geometry.a1 * xi)
-    return sign * math.exp(log)
+    kern = _Kernel(geometry, bc_pair, channel)
+    return kern.sign * math.exp(kern.log_m(nu, geometry.a1 * xi))
 
 
 def f_l(l: int, geometry: Geometry, bc_pair: BoundaryPair,

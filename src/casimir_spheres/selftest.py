@@ -59,13 +59,14 @@ def _check_wronskian() -> CheckResult:
 
 
 def _check_overlap() -> CheckResult:
-    from .bessel import _log_i_debye, _log_i_series, _log_k_debye, _log_k_smallz
+    from .bessel import (_i_series_window, _k_series_window, _log_i_debye, _log_i_series,
+                         _log_k_debye, _log_k_smallz)
     from scipy import special as sp
-    worst = 0.0
+    worst, small_k = 0.0, 0
     for nu in (60.0, 100.0, 300.0, 1000.0):
-        for zb in (0.1, 0.3, 1.0, 1.92, 2.0, 10.0):
-            z = nu * zb
-            if z * z <= 100.0 * (nu + 1.0):
+        # z = nu zb, and small z inside K's series window
+        for z in [nu * zb for zb in (0.1, 0.3, 1.0, 1.92, 2.0, 10.0)] + [1e-6, 1e-4, 1e-3, 1e-2]:
+            if _i_series_window(nu, z):
                 direct_i = _log_i_series(nu, z)
             elif nu <= 300.0:
                 direct_i = math.log(sp.ive(nu, z)) + z
@@ -75,10 +76,11 @@ def _check_overlap() -> CheckResult:
             if z > 30.0 and nu <= 300.0:
                 direct_k = math.log(sp.kve(nu, z)) - z
                 worst = max(worst, abs(_log_k_debye(nu, z) - direct_k))
-            elif z * z <= 4e-5 * (nu - 1.0):
+            elif _k_series_window(nu, z):
                 worst = max(worst, abs(_log_k_debye(nu, z) - _log_k_smallz(nu, z)))
+                small_k += 1
     return CheckResult("uniform-vs-direct overlap <= 1e-9", worst <= 1e-9,
-                       f"worst {worst:.2e}")
+                       f"worst {worst:.2e}, {small_k} small-z K points")
 
 
 def _check_recursion_ground_truth() -> CheckResult:

@@ -197,6 +197,12 @@ def test_criterion_8_special_function_suite():
     assert _report(8, ok, f"{w.detail}; overlap {o.detail}; {r.detail}")
 
 
+def test_overlap_check_reaches_the_small_z_k_series():
+    # z = 1e-6 .. 1e-2 at each of its four orders, inside bessel's own K series window
+    o = _check_overlap()
+    assert o.passed and o.detail.endswith(", 16 small-z K points")
+
+
 def test_criterion_9_degeneracy_identities():
     from fractions import Fraction
     ok = True

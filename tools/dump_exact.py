@@ -10,8 +10,9 @@ expansions (D 3..16, four pairs, TE/TM/total) and of the assembly route
 polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), the order-one Debye polynomials
 at the library's Robin ratios, ln I and ln K across the z = 1e8 seam
-of the uniform branch, up to z = 1e15, and ln K in the small-z series
-window.  Last come the exit code and full
+of the uniform branch, up to z = 1e15, ln K in the small-z series
+window, and f_l and m_ratio of the mixed pairs on both sides of nu = 50,
+which carry the sign of M_l.  Last come the exit code and full
 stdout of a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with
 forces, a convergence ladder).  Two checkouts give byte-identical dumps exactly when a
 change leaves the numbers and the CLI output untouched:
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from casimir_spheres import cli, exact, log_bessel_i, log_bessel_k
+from casimir_spheres import cli, exact, f_l, log_bessel_i, log_bessel_k, m_ratio
 from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceError,
                              TruncationPolicy, assemble_zero_T_expansion,
                              classical_term, debye_m, debye_u,
@@ -63,6 +64,12 @@ LARGE_Z = (3e4, 1e6, 9.9e7, 1e8, 1.01e8, 1.2e9, 1.26e10, 1e12, 1e15)
 # ln K inside and at the edge of the small-z series window, z^2 <= 4e-5 (nu - 1).
 SMALL_Z_NU = (2.0, 2.5)
 SMALL_Z = (1e-4, 1e-3, 6.3e-3)
+# f_l and m_ratio of the mixed pairs, whose M_l < 0, at the orders nearest nu = 1.5,
+# 49.5 and 50.5 on their side of the nu = 50 seam, and u = a1 xi from 1e-6 to 1e9;
+# at eps = 1e-9, |M_l| stays far from underflow out to u = 1e9.
+KERNEL_L = {3: (1, 49, 50), 16: (1, 42, 43)}
+KERNEL_EPS = (0.5, 1e-9)
+KERNEL_U = (1e-6, 1.0, 1e3, 1e9)
 
 
 def _hex(x):
@@ -237,9 +244,18 @@ def tables():
     for nu in SMALL_Z_NU:
         yield {"bessel": f"small z nu={nu}", "z": [_hex(z) for z in SMALL_Z],
                "ln_k": [_hex(log_bessel_k(nu, z)) for z in SMALL_Z]}
+    for dim, eps, bc, ch in itertools.product(KERNEL_L, KERNEL_EPS, ("pc,ip", "ip,pc"),
+                                              (Channel.TE, Channel.TM)):
+        g, pair = Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc)
+        xi = [u / g.a1 for u in KERNEL_U]
+        for l in KERNEL_L[dim]:
+            yield {"kernel": f"D={dim} eps={eps} bc={bc} ch={ch.value} l={l}",
+                   "u": [_hex(u) for u in KERNEL_U],
+                   "f_l": [_hex(f_l(l, g, pair, ch, x)) for x in xi],
+                   "m_ratio": [_hex(m_ratio(l, g, pair, ch, x)) for x in xi]}
 
 
-TABLE_KINDS = ("series", "degeneracy", "debye", "bessel")
+TABLE_KINDS = ("series", "degeneracy", "debye", "bessel", "kernel")
 
 
 def _table_key(rec):

@@ -32,12 +32,12 @@ form at nu >= 50, on a block of orders and frequencies per call, where the
 sqrt(nu) and w prefactors of I and K cancel and the two spheres' w values
 give the decay exponent.
 
-Below nu = 50 the exact module scores ln M_l from robin_combination, which
-also takes an array of z: each element takes the branch log_bessel_i/k
-would take for it, the series (summed in the scalar loop's order, with its
-own stop) and AMOS on the masked elements at once, the uniform branch (rare
-there) through the public scalar functions one element at a time.
-log_bessel_i and log_bessel_k take floats.
+Below nu = 50 the exact module scores ln M_l from _robin_terms, which takes
+a 1-d array of z and a Robin pair per element, so one call per kind scores
+both spheres: each element takes the branch log_bessel_i/k would take for
+it, the series (summed in the scalar loop's order, with its own stop) and
+AMOS on the masked elements at once, the uniform branch (rare there)
+through the public scalar functions one element at a time.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
@@ -51,13 +51,11 @@ and K'_nu = -K_{nu-1} - (nu/z) K_nu (K_{-a} = K_a):
     alpha K + beta z K' = K_nu [c + t],  c = alpha - beta nu,  t = -beta z K_{|nu-1|}/K_nu.
 
 For -nu < alpha/beta < nu, c and t have the same sign; every boundary
-condition of the library has |alpha/beta| <= (D-2)/2 < nu.  A factor losing
-more than six decimal digits to cancellation triggers an arbitrary-precision
-recomputation.
-
-The force needs the logarithmic derivatives in z as well: _robin_slope gives
-ln|R| and z R'/R of a Robin combination below nu = 50 from the same
-neighbour ratio (_log_and_neighbour) and the Bessel equation, and
+condition of the library has |alpha/beta| <= (D-2)/2 < nu, so the exact
+module sums ln|c + t| with no cancellation test.  robin_combination, the
+public form, recomputes a factor that loses more than six decimal digits
+to cancellation in arbitrary precision.  The force needs z R'/R as well,
+from the same neighbour ratio and the Bessel equation (_robin_terms), and
 _uniform_slope the z-derivatives of E and O by differentiating the
 polynomials of _uniform_series' own fold (_fold) in Horner's rule.
 """
@@ -346,11 +344,27 @@ def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> 
         return SignedLog(int(mp.sign(comb)), float(mp.log(abs(comb))))
 
 
-def _log_and_neighbour(kind: str, nu: float, z: np.ndarray):
-    """ln B_nu and q = z I_{nu+1}/I_nu (kind "I") or z K_{|nu-1|}/K_nu at a 1-d array of z."""
+def _robin_terms(alpha, beta, nu: float, z: np.ndarray, kind: str, slope=False):
+    """ln B_nu, c and t of alpha*B_nu(z) + beta*z*B'_nu(z) = B_nu (c + t) at a 1-d
+    array of z, and if ``slope`` (a bool, or one per element) is set anywhere also
+    z R'/R, which holds where it is set; alpha and beta are floats or arrays of z's
+    shape.  q = z I_{nu+1}/I_nu (kind "I") or z K_{|nu-1|}/K_nu gives t and
+    rho = z B'/B (nu + q, or -(nu + q)); it is scored only where beta != 0 or the
+    slope is set.  The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
+    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (c + t).  No element depends on another.
+    """
+    _check_args(nu, z)
     lb0 = _log_bessel_array(kind, nu, z)
-    other = nu + 1.0 if kind == "I" else abs(nu - 1.0)
-    return lb0, z * np.exp(_log_bessel_array(kind, other, z) - lb0)
+    q = np.zeros_like(z)
+    need = np.broadcast_to(slope | np.not_equal(beta, 0.0), z.shape)
+    if need.any():
+        other = nu + 1.0 if kind == "I" else abs(nu - 1.0)
+        q[need] = z[need] * np.exp(_log_bessel_array(kind, other, z[need]) - lb0[need])
+    rho, c, t = (nu + q, alpha + beta * nu, beta * q) if kind == "I" \
+        else (-(nu + q), alpha - beta * nu, -beta * q)
+    if not np.any(slope):
+        return lb0, c, t
+    return lb0, c, t, (alpha * rho + beta * (z * z + nu * nu)) / (c + t)
 
 
 def robin_combination(alpha: float, beta: float, nu: float, z,
@@ -371,12 +385,7 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
         raise ValueError("(alpha, beta) must not both vanish")
     shape = np.shape(z)
     z = np.asarray(z, dtype=float).ravel()
-    _check_args(nu, z)
-    if beta == 0.0:  # the factor is alpha
-        sign = np.full(z.shape, 1 if alpha > 0.0 else -1)
-        return _signed_log(shape, sign, _log_bessel_array(kind, nu, z) + math.log(abs(alpha)))
-    lb0, q = _log_and_neighbour(kind, nu, z)
-    c, t = (alpha + beta * nu, beta * q) if kind == "I" else (alpha - beta * nu, -beta * q)
+    lb0, c, t = _robin_terms(alpha, beta, nu, z, kind)
     s = c + t
     cancelled = np.abs(s) * 10.0 ** _CANCEL_DIGITS <= np.maximum(abs(c), np.abs(t))
     sign, log = np.where(s > 0.0, 1, -1), lb0 + np.log(np.abs(np.where(cancelled, 1.0, s)))
@@ -384,30 +393,6 @@ def robin_combination(alpha: float, beta: float, nu: float, z,
         for i in np.flatnonzero(cancelled):
             exact = _robin_mpmath(alpha, beta, nu, float(z[i]), kind)
             sign[i], log[i] = exact.sign, exact.log
-    return _signed_log(shape, sign, log)
-
-
-def _robin_slope(alpha: float, beta: float, nu: float, z: np.ndarray, kind: str):
-    """(ln|R|, z R'/R) of R = alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z.
-
-    rho = z B'/B is nu + q for I and -(nu + q) for K, with q from
-    _log_and_neighbour, so R = B (alpha + beta rho) = B (c + t), the factor
-    of robin_combination formed as there, whose ln|R| this is to the bit.
-    The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
-    z R' = (alpha rho + beta (z^2 + nu^2)) B, hence
-    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (c + t).  For
-    -nu < alpha/beta < nu, as in every boundary condition of the library,
-    neither sum cancels, so no element needs more digits; R has the sign of c.
-    """
-    lb0, q = _log_and_neighbour(kind, nu, z)
-    rho, c, t = (nu + q, alpha + beta * nu, beta * q) if kind == "I" \
-        else (-(nu + q), alpha - beta * nu, -beta * q)
-    s = c + t
-    return lb0 + np.log(np.abs(s)), (alpha * rho + beta * (z * z + nu * nu)) / s
-
-
-def _signed_log(shape: tuple, sign: np.ndarray, log: np.ndarray) -> SignedLog:
-    """The SignedLog of 1-d results for a z of ``shape``: an int and a float for a float z."""
     if not shape:
         return SignedLog(int(sign[0]), float(log[0]))
     return SignedLog(sign.reshape(shape), log.reshape(shape))

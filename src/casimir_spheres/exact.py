@@ -16,8 +16,9 @@ each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
 channel's f is one _Kernel, evaluated at any real order nu on a numpy
 array of u: from the uniform expansion in ratio form at nu >= 50, also on
-a column of orders against one row of u per order, and from the Robin
-combinations below.  Both per-order walks (the frequency integral's nodes
+a column of orders against one row of u per order, and below from the
+Robin factors of both spheres, scored together (_Kernel._robin_form).
+Both per-order walks (the frequency integral's nodes
 and the Matsubara frequencies) score a block of points per kernel call,
 with the stops, sums and counts of a one-point walk; the Matsubara walk
 sizes each block from the stop that the decay of |M| predicts, so most
@@ -50,8 +51,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import (_DEBYE_MIN_NU, _robin_slope, _uniform_series, _uniform_slope,
-                     robin_combination)
+from .bessel import _DEBYE_MIN_NU, _robin_terms, _uniform_series, _uniform_slope
 from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
@@ -126,17 +126,10 @@ class _Kernel:
         ``nu`` is a float, or an array of orders at nu >= 50 that broadcasts
         against u, such as a column of orders against one row of u per order.
         """
-        u2 = self.r21 * u
         if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
             return self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]),
-                                    _uniform_series(nu, u2, self.ratios[1]))
-        a1, b1 = self.ab1
-        a2, b2 = self.ab2
-        i1 = robin_combination(a1, b1, nu, u, "I")
-        k2 = robin_combination(a2, b2, nu, u2, "K")
-        i2 = robin_combination(a2, b2, nu, u2, "I")
-        k1 = robin_combination(a1, b1, nu, u, "K")
-        return (i1.log + k2.log) - (i2.log + k1.log)
+                                    _uniform_series(nu, self.r21 * u, self.ratios[1]))
+        return self._robin_form(nu, u)
 
     def f(self, nu, u):
         """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m)."""
@@ -148,20 +141,14 @@ class _Kernel:
         M depends on a2 only through u2 = a2 xi.  In ratio form (nu >= 50),
         dg/du2 = 2 nu w2/u2, so u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below,
         it is z R'/R of the outer sphere's K combination less that of its I
-        combination (bessel._robin_slope), and u is a 1-d array.
+        combination (_robin_form).
         """
-        u2 = self.r21 * u
         if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
-            w2, e2, o2, ze2, zo2 = _uniform_slope(nu, u2, self.ratios[1])
+            w2, e2, o2, ze2, zo2 = _uniform_slope(nu, self.r21 * u, self.ratios[1])
             log_m = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), (w2, e2, o2))
             return log_m, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
                                             - (ze2 - zo2) / (1.0 + e2 - o2))
-        (a1, b1), (a2, b2) = self.ab1, self.ab2
-        i1 = robin_combination(a1, b1, nu, u, "I")
-        k1 = robin_combination(a1, b1, nu, u, "K")
-        i2_log, i2_slope = _robin_slope(a2, b2, nu, u2, "I")
-        k2_log, k2_slope = _robin_slope(a2, b2, nu, u2, "K")
-        return (i1.log + k2_log) - (i2_log + k1.log), k2_slope - i2_slope
+        return self._robin_form(nu, u, slope=True)
 
     def df(self, nu, u):
         """a1 df/da2 at fixed xi, u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21 (as log_m_slope).
@@ -174,6 +161,28 @@ class _Kernel:
     def df0(self, nu):
         """a1 df0/da2 = (2 nu / r21) x/(1 - x), x = pref (a1/a2)^(2 nu); x/(1 - x) = expm1(-f0)."""
         return 2.0 * nu / self.r21 * np.expm1(-self.f0(nu))
+
+    def _robin_form(self, nu: float, u, slope: bool = False):
+        """ln|M| below nu = 50 at u a float or 1-d array, with ``slope`` also
+        u2 d ln|M|/du2: u and u2 = r21 u stacked, each with its sphere's Robin pair,
+        in one bessel._robin_terms call per kind (the slope on u2 only);
+        ln|B (c + t)| = ln B + ln|c + t|, as c and t share a sign (|alpha/beta| < nu)."""
+        shape, u = np.shape(u), np.ravel(u)
+        n = u.size
+        z = np.concatenate((u, self.r21 * u))
+        alpha, beta = np.repeat((self.ab1, self.ab2), n, axis=0).T
+        outer_slope = np.repeat((False, slope), n)
+        logs, slopes = [], []
+        for kind in "IK":
+            lb0, c, t, *z_slope = _robin_terms(alpha, beta, nu, z, kind, outer_slope)
+            logs += np.split(lb0 + np.log(np.abs(c + t)), 2)
+            slopes += [zs[n:] for zs in z_slope]
+        i1, i2, k1, k2 = logs
+        log = ((i1 + k2) - (i2 + k1)).reshape(shape)[()]
+        if not slope:
+            return log
+        i2_slope, k2_slope = slopes
+        return log, (k2_slope - i2_slope).reshape(shape)[()]
 
     def _ratio_form(self, nu, inner, outer):
         """ln|M| = -g + X1 - X2 from the uniform (w, E, O) at u and u2; M has the pair's sign.
@@ -527,7 +536,7 @@ def _de_values(integrand, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.n
     One row per order of ``nu`` (with its scale in ``c``), one column per
     integer of ``ks``.  A node where u underflows is 0: the ratio form at
     nu >= 50 gives 0 there itself, and below nu = 50, where a block holds
-    one order, the Robin combinations score only the other nodes.
+    one order, _Kernel._robin_form scores only the other nodes.
     """
     t = ks * _DE_STEP
     e = np.exp(-t)

@@ -72,3 +72,10 @@ def test_moves_within_the_estimate_and_new_records_pass(tmp_path, capsys):
 def test_each_broken_rule_fails(tmp_path, capsys, new, message):
     assert _compare(tmp_path, new) == 1
     assert message in capsys.readouterr().out
+
+
+def test_table_fields_new_in_new_pass(tmp_path, capsys):
+    # a table record is compared on OLD's fields only, like a call
+    assert _compare(tmp_path, [CALL, RAISED, _with(TABLE, values=["1"]), CLI]) == 0
+    assert _compare(tmp_path, [CALL, RAISED, {"degeneracy": "D=3 ch=TE"}, CLI]) == 1
+    assert "FAIL table degeneracy D=3 ch=TE: differs" in capsys.readouterr().out

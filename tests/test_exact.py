@@ -93,7 +93,9 @@ def test_pair_sign_is_the_robin_product_and_f0s(dim):
     """_Kernel.sign, which the kernel takes for the sign of M, is the product of the
     signs of M's four robin_combination factors at every order below nu = 50 and u
     from 1e-8 to 1e9, across the z = 1e8 seam of the uniform branch, and that of
-    f0's prefactor (f0 = ln(1 - pref (a1/a2)^(2 nu)) has the sign of -pref)."""
+    f0's prefactor (f0 = ln(1 - pref (a1/a2)^(2 nu)) has the sign of -pref).  The
+    kernel's ln|M| is the one those four factors give, to the bit, on the array of
+    u and at a float u, the path m_ratio and f_l take."""
     g = Geometry.from_eps(0.5, dim)
     u = np.logspace(-8.0, 9.0, 69)
     misses = []
@@ -101,13 +103,42 @@ def test_pair_sign_is_the_robin_product_and_f0s(dim):
         kern = exact._Kernel(g, pair, ch)
         assert kern.sign == (1 if pair.is_homogeneous else -1)
         for nu in np.arange(1.0, 50.0 - (dim - 2) / 2.0) + (dim - 2) / 2.0:
-            signs = [bessel.robin_combination(*ab, nu, z, kind).sign
-                     for ab, z in ((kern.ab1, u), (kern.ab2, kern.r21 * u)) for kind in "IK"]
-            wrong = u[np.prod(signs, axis=0) != kern.sign]
-            if wrong.size or np.sign(kern.f0(nu)) != -kern.sign:
-                misses.append(f"D={dim} {pair} {ch.value} nu={nu}: sign {kern.sign}, "
-                              f"f0 {kern.f0(nu)!r}, Robin product differs at u={wrong}")
+            for z in (u, 0.7 * nu):
+                i1, k1, i2, k2 = (bessel.robin_combination(*ab, nu, x, kind)
+                                  for ab, x in ((kern.ab1, z), (kern.ab2, kern.r21 * z))
+                                  for kind in "IK")
+                wrong = np.atleast_1d(z)[i1.sign * k1.sign * i2.sign * k2.sign != kern.sign]
+                if wrong.size or np.sign(kern.f0(nu)) != -kern.sign:
+                    misses.append(f"D={dim} {pair} {ch.value} nu={nu}: sign {kern.sign}, "
+                                  f"f0 {kern.f0(nu)!r}, Robin product differs at u={wrong}")
+                want = (i1.log + k2.log) - (i2.log + k1.log)
+                if not np.array_equal(kern.log_m(nu, z), want):
+                    misses.append(f"D={dim} {pair} {ch.value} nu={nu} u={z}: "
+                                  f"log_m {kern.log_m(nu, z)!r} vs {want!r}")
     assert not misses, "\n".join(misses)
+
+
+@pytest.mark.parametrize("pair", [PCPC, IPIP, PCIP, IPPC], ids=str)
+@pytest.mark.parametrize("ch", list(Channel), ids=lambda ch: ch.value)
+def test_kernel_scores_both_spheres_per_bessel_call(pair, ch, monkeypatch):
+    """Below nu = 50 one kernel call stacks u and u2, so it makes one ln B call per
+    kind, and one per kind for the neighbouring order where a sphere has beta != 0
+    or the slope is asked for: at most 2 calls for pc,pc TE (both beta = 0) and 4
+    for any pair, also for log_m_slope.  It builds no SignedLog."""
+    calls = []
+    original = bessel._log_bessel_array
+    monkeypatch.setattr(bessel, "_log_bessel_array",
+                        lambda *args: calls.append(args[:2]) or original(*args))
+    monkeypatch.setattr(bessel, "SignedLog", None)  # a kernel call must not reach it
+    kern = exact._Kernel(Geometry.from_eps(0.3, 3), pair, ch)
+    u = np.logspace(-3.0, 3.0, 25)
+    for nu in (1.5, 20.5, 49.5):
+        calls.clear()
+        kern.log_m(nu, u)
+        assert len(calls) <= (2 if (pair, ch) == (PCPC, Channel.TE) else 4), calls
+        calls.clear()
+        kern.log_m_slope(nu, u)
+        assert len(calls) <= 4, calls
 
 
 @pytest.mark.parametrize("l", [10, 60])  # below and above the nu = 50 seam

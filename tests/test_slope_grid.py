@@ -1,6 +1,6 @@
 """The a2-derivative layers of the force kernel against frozen mpmath values.
 
-Two tables at 40 digits: d ln|alpha B + beta z B'|/dz of bessel._robin_slope
+Two tables at 40 digits: d ln|alpha B + beta z B'|/dz of bessel._robin_terms
 (below nu = 50) and d ln|M|/du2 of _Kernel.log_m_slope in ratio form (nu >= 50),
 and log_m_slope's ln|M| against log_m's on both sides of nu = 50.
 """
@@ -306,9 +306,11 @@ def _close(got, want):
 
 
 def test_robin_slope_dense_grid():
-    """bessel._robin_slope's z R'/R, divided by z, within 1e-12 max(1, |x|) of mpmath.
+    """bessel._robin_terms' z R'/R, divided by z, within 1e-12 max(1, |x|) of mpmath.
 
-    Its ln|R| must also be robin_combination's to the bit.  The derivative in
+    Its ln|R| = ln B + ln|c + t| must also be robin_combination's to the bit,
+    and one call on two Robin pairs, one per half of a stacked z, must give the
+    two single-pair calls' values to the bit.  The derivative in
     the table is mpmath's numerical one (mp.diff) of ln|R|, with B' from
     DLMF 10.29.2 (K' = -K_(nu+1) + nu K/z), independent of the Bessel
     equation and of the K_(nu-1) identity the code uses.  Regenerate both
@@ -360,10 +362,10 @@ def test_robin_slope_dense_grid():
         pprint({(bc, ch, nu): tuple(m_slope(bc, ch, nu, zb) for zb in M_ZB)
                 for bc in M_PAIRS for ch in ("TE", "TM") for nu in M_NU}, width=96)
     """
-    misses = []
+    misses, z = [], np.array(ROBIN_Z)
     for (alpha, beta, nu, kind), want in ROBIN_SLOPES.items():
-        z = np.array(ROBIN_Z)
-        log, z_slope = bessel._robin_slope(alpha, beta, nu, z, kind)
+        lb0, c, t, z_slope = bessel._robin_terms(alpha, beta, nu, z, kind, slope=True)
+        log = lb0 + np.log(np.abs(c + t))
         plain = robin_combination(alpha, beta, nu, z, kind)
         for i, x in enumerate(want):
             label = f"alpha={alpha} beta={beta} nu={nu} {kind} z={z[i]}"
@@ -371,6 +373,17 @@ def test_robin_slope_dense_grid():
                 misses.append(f"{label}: {z_slope[i] / z[i]!r} vs {x!r}")
             if log[i] != plain.log[i]:
                 misses.append(f"{label}: ln|R| {log[i]!r} vs {plain.log[i]!r}")
+    for nu, kind in itertools.product(ROBIN_NU, ("I", "K")):
+        pairs = [(a, b) for a, b in ROBIN_PAIRS if b == 0.0 or abs(a / b) <= nu]
+        for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
+            alpha, beta = np.repeat([[a1, b1], [a2, b2]], z.size, axis=0).T
+            stacked = bessel._robin_terms(alpha, beta, nu, np.concatenate((z, z)), kind, True)
+            single = (bessel._robin_terms(a, b, nu, z, kind, True) for a, b in ((a1, b1), (a2, b2)))
+            single = [np.concatenate([np.broadcast_to(x, z.shape) for x in halves])
+                      for halves in zip(*single)]
+            if not all(np.array_equal(x, y) for x, y in zip(stacked, single)):
+                misses.append(f"nu={nu} {kind} ({a1}, {b1}) + ({a2}, {b2}): stacked "
+                              f"{stacked!r} vs single {single!r}")
     assert not misses, "\n".join(misses)
 
 
@@ -393,8 +406,8 @@ def test_ratio_form_m_slope_dense_grid():
 
 def test_log_m_slope_sees_log_m():
     """log_m_slope's ln|M| is log_m's to the bit, for a float order and a column of
-    orders at nu >= 50 and below, where the outer sphere's combinations come from
-    bessel._robin_slope, at D = 3 and 5."""
+    orders at nu >= 50 and below, where both come from _Kernel._robin_form, at D = 3
+    and 5."""
     misses, column = [], np.array([[50.5], [100.5]])
     for dim, bc, ch in itertools.product((3, 5), M_PAIRS, (Channel.TE, Channel.TM)):
         kern = exact._Kernel(Geometry.from_eps(M_EPS, dim), BoundaryPair.from_string(bc), ch)

@@ -11,8 +11,8 @@ polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), the order-one Debye polynomials
 at the library's Robin ratios, ln I and ln K across the z = 1e8 seam
 of the uniform branch, up to z = 1e15, ln K in the small-z series
-window, and f_l and m_ratio of the mixed pairs on both sides of nu = 50,
-which carry the sign of M_l.  Last come the exit code and full
+window, and f_l, m_ratio and the force kernel _Kernel.df of every pair on
+both sides of nu = 50, which carry the sign of M_l.  Last come the exit code and full
 stdout of a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with
 forces, a convergence ladder).  Two checkouts give byte-identical dumps exactly when a
 change leaves the numbers and the CLI output untouched:
@@ -29,9 +29,9 @@ which prints the worst |new value - old value| / (old error_estimate) over
 the calls and their per-channel splits, and exits non-zero if any call
 changes l_used, p_used, its warnings or its failure type, if any value moves
 by at least the call's error_estimate, if a call of OLD is missing from NEW,
-if a table record of OLD is missing from NEW or differs there, or if a CLI
-run of OLD is missing from NEW or not byte-identical there.  Fields, tables
-and CLI runs that OLD does not have are not compared.
+if a table record of OLD is missing from NEW or differs there in a field of
+OLD, or if a CLI run of OLD is missing from NEW or not byte-identical there.
+Fields, tables and CLI runs that OLD does not have are not compared.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from casimir_spheres import (BoundaryPair, Channel, Geometry, NonConvergenceErro
                              classical_term, debye_m, debye_u,
                              degeneracy_polynomial, free_energy, high_T_expansion,
                              thermal_correction, zero_T_energy, zero_T_expansion)
+from casimir_spheres.modes import nu as nu_of
 
 T_FREE = 0.5
 T_THERMAL = 0.1
@@ -64,9 +65,9 @@ LARGE_Z = (3e4, 1e6, 9.9e7, 1e8, 1.01e8, 1.2e9, 1.26e10, 1e12, 1e15)
 # ln K inside and at the edge of the small-z series window, z^2 <= 4e-5 (nu - 1).
 SMALL_Z_NU = (2.0, 2.5)
 SMALL_Z = (1e-4, 1e-3, 6.3e-3)
-# f_l and m_ratio of the mixed pairs, whose M_l < 0, at the orders nearest nu = 1.5,
-# 49.5 and 50.5 on their side of the nu = 50 seam, and u = a1 xi from 1e-6 to 1e9;
-# at eps = 1e-9, |M_l| stays far from underflow out to u = 1e9.
+# f_l, m_ratio and _Kernel.df of every pair (M_l < 0 for the mixed ones) at the orders
+# nearest nu = 1.5, 49.5 and 50.5 on their side of the nu = 50 seam, and u = a1 xi from
+# 1e-6 to 1e9; at eps = 1e-9, |M_l| stays far from underflow out to u = 1e9.
 KERNEL_L = {3: (1, 49, 50), 16: (1, 42, 43)}
 KERNEL_EPS = (0.5, 1e-9)
 KERNEL_U = (1e-6, 1.0, 1e3, 1e9)
@@ -244,15 +245,17 @@ def tables():
     for nu in SMALL_Z_NU:
         yield {"bessel": f"small z nu={nu}", "z": [_hex(z) for z in SMALL_Z],
                "ln_k": [_hex(log_bessel_k(nu, z)) for z in SMALL_Z]}
-    for dim, eps, bc, ch in itertools.product(KERNEL_L, KERNEL_EPS, ("pc,ip", "ip,pc"),
+    for dim, eps, bc, ch in itertools.product(KERNEL_L, KERNEL_EPS, PAIRS,
                                               (Channel.TE, Channel.TM)):
         g, pair = Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc)
         xi = [u / g.a1 for u in KERNEL_U]
+        kern = exact._Kernel(g, pair, ch)
         for l in KERNEL_L[dim]:
             yield {"kernel": f"D={dim} eps={eps} bc={bc} ch={ch.value} l={l}",
                    "u": [_hex(u) for u in KERNEL_U],
                    "f_l": [_hex(f_l(l, g, pair, ch, x)) for x in xi],
-                   "m_ratio": [_hex(m_ratio(l, g, pair, ch, x)) for x in xi]}
+                   "m_ratio": [_hex(m_ratio(l, g, pair, ch, x)) for x in xi],
+                   "df": [_hex(v) for v in kern.df(nu_of(l, dim), np.array(KERNEL_U))]}
 
 
 TABLE_KINDS = ("series", "degeneracy", "debye", "bessel", "kernel")
@@ -329,7 +332,8 @@ def compare(old_path, new_path) -> int:
     for label in sorted(new_cli.keys() - old_cli.keys()):
         print(f"new cli run {label}")
     for label, old in old_tables.items():
-        if new_tables.get(label) != old:
+        new = new_tables.get(label)
+        if new is None or any(new.get(key) != value for key, value in old.items()):
             print(f"FAIL table {' '.join(label)}: " + ("differs" if label in new_tables
                                                        else "missing from NEW"))
             failed = True

@@ -290,6 +290,9 @@ def _log_bessel_array(kind: str, nu: float, z: np.ndarray) -> np.ndarray:
     overflows, are scored on their elements at once, and elements on the
     uniform branch (rare here: the neighbouring order nu + 1 >= 50, or
     z >= 1e8) go through the public scalar function one at a time.
+    perfbench's traced vacuum run counts only those public calls as Debye
+    work, so a kernel that stops calling this routine below nu = 50, or a
+    vectorised uniform branch here, fails that run.
     """
     lo, hi = float(z.min()), float(z.max())
     if kind == "I":

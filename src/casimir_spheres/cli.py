@@ -30,8 +30,7 @@ from . import __version__
 from .asymptotics import (_channel_weight, high_T_expansion, pfa_energy,
                           zero_T_expansion)
 from .errors import NonConvergenceError, OutOfRegimeError
-# zero_T_energy stays bound here: perfbench wraps every binding of it.
-from .exact import _energy, force as force_fn, zero_T_energy  # noqa: F401
+from .exact import _energy, force as force_fn
 from .geometry import Geometry, TruncationPolicy
 from .modes import BoundaryPair, Channel
 from .selftest import fit_mixed_log_reading, run_selftest

@@ -22,14 +22,14 @@ Both per-order walks (the frequency integral's nodes
 and the Matsubara frequencies) score a block of points per kernel call,
 with the stops, sums and counts of a one-point walk; the Matsubara walk
 sizes each block from the stop that the decay of |M| predicts, so most
-orders take one call, and at nu >= 50 the frequency walk scores a block of
-up to _L_BLOCK orders per call, sized from the orders left to the l-sum's
-stop.  One channel loop, _by_channel, runs
-every route and aggregates failures; under it the classical term sums
-numpy blocks of l, and the other routes run _l_by_l, whose stop rules read
-the terms one l at a time, in ascending order, and drop the orders of a
-block past the stop.  free_energy and zero_T_energy stop
-on a certified l-tail bound (power D-2 and D-1), folded into the error
+orders take one call, and reads the stop off the block at once.  At
+nu >= 50 the frequency walk scores a block of up to _L_BLOCK orders per
+call, sized from the orders left to the l-sum's stop.  One channel loop,
+_by_channel, runs every route and aggregates failures; under it the
+classical term sums numpy blocks of l, and the other routes run _l_by_l,
+whose stop rules read the terms one l at a time, in ascending order, and
+drop the orders of a block past the stop.  free_energy and zero_T_energy
+stop on a certified l-tail bound (power D-2 and D-1), folded into the error
 estimate.  force, -dE/da2 at fixed a1 (the force on the outer sphere), runs
 the same two sums on the a2-derivative of each term (_Kernel.df; M_l
 depends on a2 only through u2 = a2 xi), with the l-tail power one higher,
@@ -413,45 +413,14 @@ def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, terms, rule,
                                   p_used=max(p_used, exc.p_used)) from None
 
 
-def _matsubara_window(kern: _Kernel, nu: float, du: float, p: int, p_max: int, ref: float,
-                      total: float, rel_tol: float, slope: bool):
-    """The frequencies u_p, u_(p+1), .. of _matsubara_block's next kernel call, and g'(u).
-
-    The tail test runs ahead on estimated terms, ref e^(h(u_(p-1)) - h(u_k)), with ref
-    the last term (f0 or df0 at u_0 = 0) and h = g of _Kernel.decay, less ln w2 for df
-    (u2 d ln|M|/du2 ~ -2 nu w2), on |total| plus these terms.  A scalar estimate at the
-    _P_SHORT-th frequency, on |total| alone, takes the short sums; else the window ends
-    _P_SHORT/2 + 5% past the first estimated stop, within _P_CAP frequencies.  No test
-    divides, so r = exp(-g' du) = 1 warns of nothing.
-    """
-    def exponent(k, lib):
-        rates, w1, w2 = kern.decay(nu, du * k, lib)
-        h = 2.0 * nu * (w2 - w1 + lib.log((1.0 + w1) / (1.0 + w2)))
-        return rates, (h - lib.log(w2) if slope else h), lib.exp(-rates * du)
-
-    def tail_fits(k, est, r, total):
-        one = 1.0 - r
-        if slope:
-            return est * r * (k * one + 1.0) <= rel_tol * total * one * (k * one)
-        return est * r <= rel_tol * total * one
-
-    last = min(p + _P_CAP, p_max + 1)
-    short = min(p + _P_SHORT, last)
-    h_ref = exponent(p - 1, math)[1] if p > 1 else 0.0
-    if du > 0.0:  # else a1 T underflowed, and the kernel rejects u = 0
-        _, h, r = exponent(short - 1, math)
-        if tail_fits(short - 1, ref * math.exp(h_ref - h), r, total):
-            u = du * np.arange(p, short)
-            return u, kern.decay(nu, u)[0]
-    ks = np.arange(p, last)
-    rates, h, r = exponent(ks, np)
-    est = ref * np.exp(h_ref - h)
-    fit = tail_fits(ks, est, r, total + np.cumsum(est))
-    n = ks.size
-    if fit.any():
-        first = int(fit.argmax()) + 1
-        n = min(n, first + _P_SHORT // 2 + first // 20)
-    return du * ks[:n], rates[:n]
+def _p_tail(size, r, p, slope: bool):
+    """Bound on the rest of a Matsubara sum past a term of magnitude ``size`` at frequency
+    p, where |M| falls at least like r^k: size r/(1 - r), times 1 + 1/(p (1 - r)) for df,
+    whose term p + k is at most r^k (1 + k/p) size (u d ln|M|/du2 ~ -2 sqrt(nu^2 + u2^2)/r21
+    grows at most like u).  Floats or arrays, for r < 1; r = nan passes no test."""
+    one = 1.0 - r
+    tail = size * r / one
+    return tail * (1.0 + 1.0 / (p * one)) if slope else tail
 
 
 def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
@@ -459,39 +428,67 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
     """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound; with
     ``slope``, a1 times its a2-derivative, df0/2 + sum_p df(u_p).
 
-    Each kernel call scores the frequencies of _matsubara_window, up to the stop
-    that the decay of |M| predicts (one call for most orders); the tail test
-    still runs one p at a time on a plain running total, and the value is
-    math.fsum of the terms up to the stop, so a window changes neither the sum
-    nor the p where it stops.  The tail past term p is |term| r/(1 - r),
-    r = exp(-g'(u_p) du), as |M| falls at least that fast; a df term carries a
-    further factor that grows at most like u (u d ln|M|/du2 ~
-    -2 sqrt(nu^2 + u2^2)/r21), so term p + k is bounded by r^k (1 + k/p) |term p|,
-    which sums to r/(1 - r) (1 + 1/(p (1 - r))).
+    The sum stops at the first p whose _p_tail, at r = exp(-g'(u_p) du), is below rel_tol
+    of the running total.  A kernel call scores the frequencies up to a stop forecast on
+    estimated terms ref e^(h(u_(p-1)) - h(u_k)), ref the last term (f0 or df0 at u_0 = 0),
+    h = g of _Kernel.decay, less ln w2 for df (u2 d ln|M|/du2 ~ -2 nu w2): _P_SHORT of them
+    if a scalar forecast ends the sum there, else up to _P_SHORT/2 + 5% past the first
+    forecast stop, at most _P_CAP.  The stop is read off each window at once, on running
+    totals that add its terms in order; the value is math.fsum of the terms up to it.
     """
     du = 2.0 * math.pi * a1T
     zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
     f0 = float(zeroth(nu))
-    terms = [0.5 * f0]
-    total = terms[0]
-    p, ref = 1, abs(f0)
+    terms, total, p, ref = [0.5 * f0], 0.5 * f0, 1, abs(f0)
+
+    def exponent(k, lib):
+        rates, w1, w2 = kern.decay(nu, du * k, lib)
+        h = 2.0 * nu * (w2 - w1 + lib.log((1.0 + w1) / (1.0 + w2)))
+        return rates, (h - lib.log(w2) if slope else h)
+
+    def below_one(r):  # where r rounds to 1 no tail bound holds
+        return np.where(r < 1.0, r, np.nan)
+
     while True:
-        u, rates = _matsubara_window(kern, nu, du, p, p_max, ref, abs(total), rel_tol, slope)
-        values = term(nu, u).tolist()
-        for fv, rate in zip(values, rates.tolist()):
-            terms.append(fv)
-            total += fv
-            r = math.exp(-rate * du)
-            tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
-            if slope and r < 1.0:
-                tail *= 1.0 + 1.0 / (p * (1.0 - r))
-            if tail < rel_tol * max(abs(total), 1e-300):
-                return math.fsum(terms), tail, p
-            if p >= p_max:
-                raise NonConvergenceError(
-                    f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p)
-            p += 1
-        ref = abs(values[-1])
+        last = min(p + _P_CAP, p_max + 1)
+        short = min(p + _P_SHORT, last)
+        h_ref = exponent(p - 1, math)[1] if p > 1 else 0.0
+        # a1 T that underflowed to 0 takes the array path, to the kernel's check of u > 0
+        rate, h = exponent(short - 1, math) if du > 0.0 else (0.0, 0.0)
+        r = math.exp(-rate * du)
+        if r < 1.0 and _p_tail(ref * math.exp(h_ref - h), r, short - 1, slope) \
+                <= rel_tol * abs(total):
+            ks = np.arange(p, short)
+            u = du * ks
+            rates = kern.decay(nu, u)[0]
+        else:
+            ks = np.arange(p, last)
+            rates, h = exponent(ks, np)
+            est = ref * np.exp(h_ref - h)
+            fit = (_p_tail(est, below_one(np.exp(-rates * du)), ks, slope)
+                   <= rel_tol * (abs(total) + np.cumsum(est)))
+            if fit.any():
+                first = int(fit.argmax()) + 1
+                ks = ks[:first + _P_SHORT // 2 + first // 20]
+                rates = rates[:ks.size]
+            u = du * ks
+        values = term(nu, u)
+        # r from math.exp, as np.exp can differ from it in the last bit
+        r = np.array(list(map(math.exp, (rates * -du).tolist())))
+        tails = _p_tail(np.abs(values), below_one(r), ks, slope)
+        window = values.tolist()
+        values[0] += total  # the running totals, adding the terms in order
+        sums = np.add.accumulate(values, out=values)
+        stop = tails < rel_tol * np.maximum(np.abs(sums), 1e-300)
+        i = int(stop.argmax())
+        if stop[i]:
+            return math.fsum(terms + window[:i + 1]), float(tails[i]), p + i
+        p += len(window)
+        if p > p_max:
+            raise NonConvergenceError(
+                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p_max)
+        terms += window
+        total, ref = float(sums[-1]), abs(window[-1])
 
 
 def _check_temperature(name: str, T: float, zero: bool = False) -> None:

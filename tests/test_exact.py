@@ -656,6 +656,43 @@ def test_windows_match_the_one_frequency_oracle_at_the_edges(monkeypatch, slope)
     assert outcomes[300.5, 0.05, 300] == (NonConvergenceError, 300)
 
 
+def _matsubara_loop(kern, nu, a1T, p_max, slope):
+    """_matsubara_outcome by a tail test on one frequency at a time, in floats: the
+    reference for the stop that _matsubara_block reads off a whole window of terms."""
+    du = 2.0 * math.pi * a1T
+    zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
+    terms = [0.5 * float(zeroth(nu))]
+    total = terms[0]
+    for first in range(1, p_max + 1, 256):
+        u = du * np.arange(first, min(first + 256, p_max + 1))
+        for p, fv, rate in zip(itertools.count(first), term(nu, u).tolist(),
+                               kern.decay(nu, u)[0].tolist()):
+            terms.append(fv)
+            total += fv
+            r = math.exp(-rate * du)
+            tail = abs(fv) * r / (1.0 - r) if r < 1.0 else math.inf
+            if slope and r < 1.0:
+                tail *= 1.0 + 1.0 / (p * (1.0 - r))
+            if tail < 5e-11 * max(abs(total), 1e-300):
+                return math.fsum(terms), tail, p
+    return NonConvergenceError, p_max
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_window_stops_match_a_loop_over_frequencies(slope):
+    # the stop read off a window of arrays (r from math.exp, running totals added
+    # in order) gives the bits, stop and failures of the tail test run on one
+    # frequency at a time in floats, where r rounds to 1 (a1 T = 1e-9), at p = 1
+    # (a1 T = 100), inside one window and across windows (a1 T = 0.05, 0.01)
+    kernels = [exact._Kernel(Geometry.from_eps(0.1, 3), PCPC, Channel.TE),
+               exact._Kernel(Geometry.from_eps(0.1, 3), PCIP, Channel.TM)]
+    cases = [(nu, a1T, p_max) for nu in (1.5, 49.5, 50.5, 300.5)
+             for a1T, p_max in ((1e-9, 40), (100.0, 10**5), (0.05, 10**5), (0.05, 300))]
+    cases += [(1.5, 0.01, 10**5), (20.5, 0.01, 10**5)]
+    for kern, case in itertools.product(kernels, cases):
+        assert _matsubara_outcome(kern, *case, slope) == _matsubara_loop(kern, *case, slope)
+
+
 def test_low_T_sums_take_about_one_kernel_call_per_order(monkeypatch):
     # each kernel call scores the frequencies up to the predicted stop, so
     # sums of 80-260 frequencies per order take about one call per order

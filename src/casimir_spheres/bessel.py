@@ -56,8 +56,8 @@ module sums ln|c + t| with no cancellation test.  robin_combination, the
 public form, recomputes a factor that loses more than six decimal digits
 to cancellation in arbitrary precision.  The force needs z R'/R as well,
 from the same neighbour ratio and the Bessel equation (_robin_terms), and
-_uniform_slope the z-derivatives of E and O by differentiating the
-polynomials of _uniform_series' own fold (_fold) in Horner's rule.
+_uniform_series (with ``slope``) the z-derivatives of E and O, by carrying
+the derivatives of its polynomials through Horner's rule.
 """
 
 from __future__ import annotations
@@ -163,17 +163,9 @@ def _coefficients(ratio: Optional[float]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows[1::2]), np.array(rows[0::2])
 
 
-def _fold(nu, z, ratio: Optional[float]):
-    """w, t = 1/w and, along the last axis, the coefficients of P(s) and Q(s) of
-    E = P(s), O = t Q(s), s = t^2, per order; nu and z as in _uniform_series."""
-    even_rows, odd_rows = _coefficients(ratio)
-    inv = np.asarray(nu)[..., None] ** -_ORDERS
-    w = np.hypot(1.0, z / nu)
-    return w, 1.0 / w, inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows
-
-
-def _uniform_series(nu, z, ratio: Optional[float] = None):
-    """(w, E, O) of the uniform expansion (module docstring) at nu, z.
+def _uniform_series(nu, z, ratio: Optional[float] = None, slope: bool = False):
+    """(w, E, O) of the uniform expansion (module docstring) at nu, z, and with
+    ``slope`` also z dE/dz and z dO/dz.
 
     E and O are the even- and odd-order parts of sum_k a_k(1/w)/nu^k, with
     a_k = u_k for ``ratio`` None (I and K) and a_k = v_k + ratio*t*u_{k-1}
@@ -181,40 +173,29 @@ def _uniform_series(nu, z, ratio: Optional[float] = None):
     1 + E + O, the K-type one 1 + E - O.  ``z`` is a float or an array, and
     ``nu`` a float or an array that broadcasts against it, such as a column
     of orders against one row of z per order.  Each order's 1/nu^k fold the
-    coefficient matrices (_fold) into one even polynomial P in s = t^2 and
-    one odd one t Q(s), scored on every z of its row at once by Horner's
-    rule, which allocates no array of the powers of s; no row depends on the
-    others.
+    coefficient matrices into one even polynomial P in s = t^2 and one odd
+    one t Q(s), scored on every z of its row at once by Horner's rule, which
+    allocates no array of the powers of s; no row depends on the others.
+    With ``slope`` each polynomial's derivative is carried in the same pass:
+    dE/dt = 2t P'(s), dO/dt = Q(s) + 2s Q'(s), and z dt/dz = -t^3 (z/nu)^2
+    from t = (1 + (z/nu)^2)^(-1/2); w, E and O do not depend on the flag.
     """
-    w, t, c_even, c_odd = _fold(nu, z, ratio)
+    even_rows, odd_rows = _coefficients(ratio)
+    inv = np.asarray(nu)[..., None] ** -_ORDERS
+    w = np.hypot(1.0, z / nu)
+    t = 1.0 / w
     s = t * t
-    even, odd = c_even[..., -1], c_odd[..., -1]
-    for j in range(c_even.shape[-1] - 2, -1, -1):
-        even = even * s + c_even[..., j]
-    for j in range(c_odd.shape[-1] - 2, -1, -1):
-        odd = odd * s + c_odd[..., j]
-    return w, even, t * odd
-
-
-def _uniform_slope(nu, z, ratio: Optional[float] = None):
-    """(w, E, O) of _uniform_series at nu, z, and z dE/dz, z dO/dz.
-
-    From the same fold: with E = P(s), O = t Q(s) and s = t^2,
-    dE/dt = 2t P'(s) and dO/dt = Q(s) + 2s Q'(s), each polynomial scored
-    together with its derivative by Horner's rule, and
-    z dt/dz = -t^3 (z/nu)^2 from t = (1 + (z/nu)^2)^(-1/2).  w, E and O are
-    _uniform_series' to the bit.  ``nu`` and ``z`` broadcast as there.
-    """
-    w, t, c_even, c_odd = _fold(nu, z, ratio)
-    s = t * t
-    even, d_even = c_even[..., -1], 0.0
-    for j in range(c_even.shape[-1] - 2, -1, -1):
-        d_even = d_even * s + even
-        even = even * s + c_even[..., j]
-    odd, d_odd = c_odd[..., -1], 0.0
-    for j in range(c_odd.shape[-1] - 2, -1, -1):
-        d_odd = d_odd * s + odd
-        odd = odd * s + c_odd[..., j]
+    scored = []
+    for c in (inv[..., 1::2] @ even_rows, inv[..., 0::2] @ odd_rows):
+        poly, deriv = c[..., -1], 0.0
+        for j in range(c.shape[-1] - 2, -1, -1):
+            if slope:
+                deriv = deriv * s + poly
+            poly = poly * s + c[..., j]
+        scored += [poly, deriv]
+    even, d_even, odd, d_odd = scored
+    if not slope:
+        return w, even, t * odd
     zn = z / nu
     z_dt = -t * s * zn * zn
     return w, even, t * odd, z_dt * 2.0 * t * d_even, z_dt * (odd + 2.0 * s * d_odd)
@@ -359,7 +340,7 @@ def _robin_terms(alpha, beta, nu: float, z: np.ndarray, kind: str, slope=False):
     _check_args(nu, z)
     lb0 = _log_bessel_array(kind, nu, z)
     q = np.zeros_like(z)
-    need = np.broadcast_to(slope | np.not_equal(beta, 0.0), z.shape)
+    need = np.logical_or(slope, np.not_equal(beta, 0.0), out=np.empty(z.shape, bool))
     if need.any():
         other = nu + 1.0 if kind == "I" else abs(nu - 1.0)
         q[need] = z[need] * np.exp(_log_bessel_array(kind, other, z[need]) - lb0[need])

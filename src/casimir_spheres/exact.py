@@ -31,9 +31,9 @@ whose stop rules read the terms one l at a time, in ascending order, and
 drop the orders of a block past the stop.  free_energy and zero_T_energy
 stop on a certified l-tail bound (power D-2 and D-1), folded into the error
 estimate.  force, -dE/da2 at fixed a1 (the force on the outer sphere), runs
-the same two sums on the a2-derivative of each term (_Kernel.df; M_l
-depends on a2 only through u2 = a2 xi), with the l-tail power one higher,
-on a kernel whose ln|M| is log_m's to the bit.  thermal_correction, whose
+the same two sums on the a2-derivative of each term (_Kernel.f with
+``slope``; M_l depends on a2 only through u2 = a2 xi), with the l-tail
+power one higher, on the same ln|M| to the bit.  thermal_correction, whose
 per-l differences decay like T^(2 nu + 1), stops after two small
 differences past l = 3.  The stop rules read plain running totals; every
 sum that is returned (over l, over p, over the frequency nodes) is
@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import _DEBYE_MIN_NU, _robin_terms, _uniform_series, _uniform_slope
+from .bessel import _DEBYE_MIN_NU, _robin_terms, _uniform_series
 from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
@@ -107,60 +107,53 @@ class _Kernel:
         self.sign = 1 if bc_pair.is_homogeneous else -1
         self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
 
-    def f0(self, nu):
-        """f(nu, 0) = ln(1 - pref (a1/a2)^(2 nu)); ``nu`` is a float or an array.
+    def f0(self, nu, slope: bool = False):
+        """f(nu, 0) = ln(1 - x), x = pref (a1/a2)^(2 nu), or with ``slope``
+        a1 df0/da2 = (2 nu / r21) x/(1 - x), x/(1 - x) = expm1(-f0); ``nu`` is a
+        float or an array.
 
         M's xi -> 0 prefactor pref = (a1 + b1 nu)(a2 - b2 nu) / ((a1 - b1 nu)(a2 + b2 nu))
         is 1 for a homogeneous pair.
         """
         s = -2.0 * nu * self.alpha_log
         if self.sign > 0:
-            return np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
-        (a1, b1), (a2, b2) = self.ab1, self.ab2
-        pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
-        return np.log1p(-pref * np.exp(s))
+            f0 = np.where(s > _LOG1MEXP_SWITCH, np.log(-np.expm1(s)), np.log1p(-np.exp(s)))
+        else:
+            (a1, b1), (a2, b2) = self.ab1, self.ab2
+            pref = (a1 + b1 * nu) * (a2 - b2 * nu) / ((a1 - b1 * nu) * (a2 + b2 * nu))
+            f0 = np.log1p(-pref * np.exp(s))
+        return 2.0 * nu / self.r21 * np.expm1(-f0) if slope else f0
 
-    def log_m(self, nu, u):
-        """ln|M| at order nu and u = a1 * xi > 0, a float or an array.
+    def log_m(self, nu, u, slope: bool = False):
+        """ln|M| at order nu and u = a1 * xi > 0, a float or an array; with
+        ``slope`` (u an array) the pair (ln|M|, u2 d ln|M|/du2) at u2 = r21 u.
 
         ``nu`` is a float, or an array of orders at nu >= 50 that broadcasts
         against u, such as a column of orders against one row of u per order.
-        """
-        if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
-            return self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]),
-                                    _uniform_series(nu, self.r21 * u, self.ratios[1]))
-        return self._robin_form(nu, u)
-
-    def f(self, nu, u):
-        """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m)."""
-        return _log_one_minus_array(self.sign, self.log_m(nu, u))
-
-    def log_m_slope(self, nu, u):
-        """(ln|M|, u2 d ln|M|/du2) at u2 = r21 u, with nu as in log_m and u an array.
-
         M depends on a2 only through u2 = a2 xi.  In ratio form (nu >= 50),
         dg/du2 = 2 nu w2/u2, so u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below,
         it is z R'/R of the outer sphere's K combination less that of its I
-        combination (_robin_form).
+        combination (_robin_form).  ln|M| does not depend on ``slope``.
         """
-        if isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU:
-            w2, e2, o2, ze2, zo2 = _uniform_slope(nu, self.r21 * u, self.ratios[1])
-            log_m = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), (w2, e2, o2))
-            return log_m, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
-                                            - (ze2 - zo2) / (1.0 + e2 - o2))
-        return self._robin_form(nu, u, slope=True)
+        if not (isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU):
+            return self._robin_form(nu, u, slope)
+        outer = _uniform_series(nu, self.r21 * u, self.ratios[1], slope)
+        log = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), outer[:3])
+        if not slope:
+            return log
+        w2, e2, o2, ze2, zo2 = outer
+        return log, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
+                                      - (ze2 - zo2) / (1.0 + e2 - o2))
 
-    def df(self, nu, u):
-        """a1 df/da2 at fixed xi, u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21 (as log_m_slope).
-
-        M/(1 - M) is expm1(-f).
+    def f(self, nu, u, slope: bool = False):
+        """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m);
+        with ``slope`` (u an array) a1 df/da2 at fixed xi,
+        u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21, where M/(1 - M) is expm1(-f).
         """
-        log, slope = self.log_m_slope(nu, u)
-        return -np.expm1(-_log_one_minus_array(self.sign, log)) * slope / self.r21
-
-    def df0(self, nu):
-        """a1 df0/da2 = (2 nu / r21) x/(1 - x), x = pref (a1/a2)^(2 nu); x/(1 - x) = expm1(-f0)."""
-        return 2.0 * nu / self.r21 * np.expm1(-self.f0(nu))
+        if not slope:
+            return _log_one_minus_array(self.sign, self.log_m(nu, u))
+        log, u2_slope = self.log_m(nu, u, slope)
+        return -np.expm1(-_log_one_minus_array(self.sign, log)) * u2_slope / self.r21
 
     def _robin_form(self, nu: float, u, slope: bool = False):
         """ln|M| below nu = 50 at u a float or 1-d array, with ``slope`` also
@@ -175,7 +168,8 @@ class _Kernel:
         logs, slopes = [], []
         for kind in "IK":
             lb0, c, t, *z_slope = _robin_terms(alpha, beta, nu, z, kind, outer_slope)
-            logs += np.split(lb0 + np.log(np.abs(c + t)), 2)
+            log = lb0 + np.log(np.abs(c + t))
+            logs += [log[:n], log[n:]]
             slopes += [zs[n:] for zs in z_slope]
         i1, i2, k1, k2 = logs
         log = ((i1 + k2) - (i2 + k1)).reshape(shape)[()]
@@ -437,8 +431,7 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
     totals that add its terms in order; the value is math.fsum of the terms up to it.
     """
     du = 2.0 * math.pi * a1T
-    zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
-    f0 = float(zeroth(nu))
+    f0 = float(kern.f0(nu, slope))
     terms, total, p, ref = [0.5 * f0], 0.5 * f0, 1, abs(f0)
 
     def exponent(k, lib):
@@ -472,7 +465,7 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
                 ks = ks[:first + _P_SHORT // 2 + first // 20]
                 rates = rates[:ks.size]
             u = du * ks
-        values = term(nu, u)
+        values = kern.f(nu, u, slope)
         # r from math.exp, as np.exp can differ from it in the last bit
         r = np.array(list(map(math.exp, (rates * -du).tolist())))
         tails = _p_tail(np.abs(values), below_one(r), ks, slope)
@@ -608,7 +601,7 @@ def _zero_t_integrals(kern: _Kernel, nu: list[float],
     q = 1.0 / (kern.r21 * kern.r21 - 1.0)
     c = [min(order, math.sqrt(q * (2.0 * order + q))) for order in nu]
     out = []
-    walk = _de_block_walk(kern.df if slope else kern.f, np.array(nu), np.array(c))
+    walk = _de_block_walk(lambda n, u: kern.f(n, u, slope), np.array(nu), np.array(c))
     for order, (k, values) in zip(nu, walk):
         s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
                            for m in (1, 2, 4))
@@ -729,7 +722,7 @@ def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,
 
     Differentiated under the l-sum: M_l depends on a2 only through
     u2 = a2 xi, so each order's frequency integral (T = 0) or Matsubara sum
-    (T > 0) runs on a1 df/da2 = u df/du2 (_Kernel.df), plus the closed
+    (T > 0) runs on a1 df/da2 = u df/du2 (_Kernel.f with ``slope``), plus the closed
     a2-derivative of f_l(0) above T = 0.  The sums, their stops and their
     error estimates are those of the energy, with the l-tail power one
     higher; the result must meet ``policy.rel_tol`` like an energy, or

@@ -14,7 +14,7 @@ from casimir_spheres import (BoundaryCondition, BoundaryPair, Channel, Geometry,
                              bc_coefficients, debye_u, debye_v,
                              log_bessel_i, log_bessel_k, m_ratio, robin_combination)
 from casimir_spheres.bessel import (_log_i_debye, _log_i_series, _log_k_debye, _log_k_smallz,
-                                    _uniform_series, _uniform_slope)
+                                    _uniform_series)
 from casimir_spheres.debye import MAX_ORDER
 
 # (nu, z) -> ln I_nu(z), ln K_nu(z); mpmath besseli/besselk, dps=40
@@ -78,29 +78,34 @@ def test_monotonicity(nu):
 def test_uniform_series_matches_exact_per_order_sum(ratio):
     # the folded float polynomials against sum_k a_k(t)/nu^k in exact rationals
     # at the same t, within 8 ulps of the sum of the terms' absolute values,
-    # for a float order and a column of orders; _uniform_slope's z dE/dz and
+    # for a float order and a column of orders; with slope=True its z dE/dz and
     # z dO/dz likewise against sum_k a_k'(t)/nu^k times z dt/dz = -t^3 (z/nu)^2,
-    # with a_k' from RationalPolynomial.derivative, and its (w, E, O) are
-    # _uniform_series' to the bit;
+    # with a_k' from RationalPolynomial.derivative, and its (w, E, O) are the
+    # slope=False call's to the bit;
     # an array call gives each element of its scalar calls, and a column of
     # orders against a block of z gives each row of its one-row calls
     cases = ((50.5, np.logspace(-1.0, 5.0, 13)), (1000.5, np.logspace(0.0, 7.0, 8)),
              (0.5, np.array([1e8, 1e12])), (10.5, np.array([1e8, 3e9])))
     column_nu, column_z = np.array([[50.5], [1000.5]]), np.array([cases[0][1][:8], cases[1][1]])
     column = _uniform_series(column_nu, column_z, ratio)
-    column_slope = _uniform_slope(column_nu, column_z, ratio)
-    assert all(np.array_equal(a, b) for a, b in zip(column, column_slope))
+    column_slope = _uniform_series(column_nu, column_z, ratio, slope=True)
+    assert len(column) == 3 and len(column_slope) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(column, column_slope[:3]))
     for row, (nu, zs) in enumerate(cases[:2]):
-        for fn, full in ((_uniform_series, column), (_uniform_slope, column_slope)):
-            one = fn(np.array([[nu]]), zs[None, :8], ratio)
+        for slope, full in ((False, column), (True, column_slope)):
+            one = _uniform_series(np.array([[nu]]), zs[None, :8], ratio, slope)
             assert all(np.array_equal(a[row], b[0]) for a, b in zip(full, one))
     for case, (nu, zs) in enumerate(cases):
         w, even, odd = _uniform_series(nu, zs, ratio)
-        slope = _uniform_slope(nu, zs, ratio)
-        assert all(np.array_equal(a, b) for a, b in zip((w, even, odd), slope))
+        slope = _uniform_series(nu, zs, ratio, slope=True)
+        assert len(slope) == 5
+        assert all(np.array_equal(a, b) for a, b in zip((w, even, odd), slope[:3]))
         for i, z in enumerate(zs):
-            assert _uniform_series(nu, float(z), ratio) == (w[i], even[i], odd[i])
-            assert _uniform_slope(nu, float(z), ratio) == tuple(x[i] for x in slope)
+            plain = _uniform_series(nu, float(z), ratio)
+            assert plain == (w[i], even[i], odd[i])
+            one_slope = _uniform_series(nu, float(z), ratio, slope=True)
+            assert one_slope == tuple(x[i] for x in slope)
+            assert one_slope[:3] == plain
             t = Fraction(1.0 / w[i])
             z_dt = -t ** 3 * (Fraction(z) / Fraction(nu)) ** 2
             sums, bound = [Fraction(0)] * 4, [0.0] * 2

@@ -1,4 +1,5 @@
-"""`tools/dump_exact.py --compare` on small hand-made dumps: which changes fail.
+"""`tools/dump_exact.py --compare` on small hand-made dumps: which changes fail,
+and the tool's exact tables, which call the library's private kernel.
 
 No energy is computed; every dump is a few JSON lines written to tmp_path.
 """
@@ -79,3 +80,15 @@ def test_table_fields_new_in_new_pass(tmp_path, capsys):
     assert _compare(tmp_path, [CALL, RAISED, _with(TABLE, values=["1"]), CLI]) == 0
     assert _compare(tmp_path, [CALL, RAISED, {"degeneracy": "D=3 ch=TE"}, CLI]) == 1
     assert "FAIL table degeneracy D=3 ch=TE: differs" in capsys.readouterr().out
+
+
+def test_tables_cover_every_kind_and_serialise():
+    # the tables reach private routines (the force kernel, the uniform series), so
+    # a rename there fails here and not only when the tool is run
+    records = list(dump_exact.tables())
+    keys = [dump_exact._table_key(rec) for rec in records]
+    assert len(records) == 598
+    assert len(set(keys)) == len(keys)  # --compare keys the tables by label
+    assert {kind for kind, _ in keys} == set(dump_exact.TABLE_KINDS)
+    for rec in records:
+        assert json.loads(json.dumps(rec, sort_keys=True)) == rec

@@ -124,7 +124,7 @@ def test_kernel_scores_both_spheres_per_bessel_call(pair, ch, monkeypatch):
     """Below nu = 50 one kernel call stacks u and u2, so it makes one ln B call per
     kind, and one per kind for the neighbouring order where a sphere has beta != 0
     or the slope is asked for: at most 2 calls for pc,pc TE (both beta = 0) and 4
-    for any pair, also for log_m_slope.  It builds no SignedLog."""
+    for any pair, also with the slope.  It builds no SignedLog."""
     calls = []
     original = bessel._log_bessel_array
     monkeypatch.setattr(bessel, "_log_bessel_array",
@@ -137,7 +137,7 @@ def test_kernel_scores_both_spheres_per_bessel_call(pair, ch, monkeypatch):
         kern.log_m(nu, u)
         assert len(calls) <= (2 if (pair, ch) == (PCPC, Channel.TE) else 4), calls
         calls.clear()
-        kern.log_m_slope(nu, u)
+        kern.log_m(nu, u, slope=True)
         assert len(calls) <= 4, calls
 
 
@@ -487,7 +487,7 @@ def _quad_reference(kern, nu, slope=False):
     """
     q = 1.0 / (kern.r21 ** 2 - 1.0)
     c = min(nu, math.sqrt(q * (2.0 * nu + q)))
-    value = (lambda u: kern.df(nu, np.array([u]))[0]) if slope else (lambda u: kern.f(nu, u))
+    value = (lambda u: kern.f(nu, np.array([u]), True)[0]) if slope else (lambda u: kern.f(nu, u))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         parts = [quad(lambda s: c * value(c * s), lo, hi, epsabs=0.0, epsrel=2e-14,
@@ -660,12 +660,11 @@ def _matsubara_loop(kern, nu, a1T, p_max, slope):
     """_matsubara_outcome by a tail test on one frequency at a time, in floats: the
     reference for the stop that _matsubara_block reads off a whole window of terms."""
     du = 2.0 * math.pi * a1T
-    zeroth, term = (kern.df0, kern.df) if slope else (kern.f0, kern.f)
-    terms = [0.5 * float(zeroth(nu))]
+    terms = [0.5 * float(kern.f0(nu, slope))]
     total = terms[0]
     for first in range(1, p_max + 1, 256):
         u = du * np.arange(first, min(first + 256, p_max + 1))
-        for p, fv, rate in zip(itertools.count(first), term(nu, u).tolist(),
+        for p, fv, rate in zip(itertools.count(first), kern.f(nu, u, slope).tolist(),
                                kern.decay(nu, u)[0].tolist()):
             terms.append(fv)
             total += fv
@@ -700,9 +699,9 @@ def test_low_T_sums_take_about_one_kernel_call_per_order(monkeypatch):
     inside = [False]
     kernel_f, block = exact._Kernel.f, exact._matsubara_block
 
-    def spy_f(self, nu, u):
+    def spy_f(self, nu, u, slope=False):
         counts["calls"] += inside[0]
-        return kernel_f(self, nu, u)
+        return kernel_f(self, nu, u, slope)
 
     def spy_block(*args):
         inside[0] = True

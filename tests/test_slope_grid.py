@@ -1,8 +1,9 @@
 """The a2-derivative layers of the force kernel against frozen mpmath values.
 
 Two tables at 40 digits: d ln|alpha B + beta z B'|/dz of bessel._robin_terms
-(below nu = 50) and d ln|M|/du2 of _Kernel.log_m_slope in ratio form (nu >= 50),
-and log_m_slope's ln|M| against log_m's on both sides of nu = 50.
+(below nu = 50) and d ln|M|/du2 of _Kernel.log_m with ``slope`` in ratio form
+(nu >= 50), and its ln|M| against that of log_m without the slope on both sides
+of nu = 50.
 """
 
 import itertools
@@ -388,7 +389,7 @@ def test_robin_slope_dense_grid():
 
 
 def test_ratio_form_m_slope_dense_grid():
-    """_Kernel.log_m_slope's u2 d ln|M|/du2, divided by u2, within 1e-12 max(1, |x|) of
+    """_Kernel.log_m's u2 d ln|M|/du2 (``slope``), divided by u2, within 1e-12 max(1, |x|) of
     mpmath (table made by the code in test_robin_slope_dense_grid)."""
     g = Geometry.from_eps(M_EPS, M_DIM)
     misses = []
@@ -396,7 +397,7 @@ def test_ratio_form_m_slope_dense_grid():
         kern = exact._Kernel(g, BoundaryPair.from_string(bc), Channel(ch))
         u = nu * np.array(M_ZB)
         u2 = kern.r21 * u
-        _, slope = kern.log_m_slope(nu, u)
+        _, slope = kern.log_m(nu, u, slope=True)
         for i, x in enumerate(want):
             if not _close(slope[i] / u2[i], x):
                 misses.append(f"{bc} {ch} nu={nu} z/nu={M_ZB[i]}: "
@@ -405,16 +406,16 @@ def test_ratio_form_m_slope_dense_grid():
 
 
 def test_log_m_slope_sees_log_m():
-    """log_m_slope's ln|M| is log_m's to the bit, for a float order and a column of
-    orders at nu >= 50 and below, where both come from _Kernel._robin_form, at D = 3
-    and 5."""
+    """log_m's ln|M| with ``slope`` is that without to the bit, for a float order and
+    a column of orders at nu >= 50 and below, where both come from
+    _Kernel._robin_form, at D = 3 and 5."""
     misses, column = [], np.array([[50.5], [100.5]])
     for dim, bc, ch in itertools.product((3, 5), M_PAIRS, (Channel.TE, Channel.TM)):
         kern = exact._Kernel(Geometry.from_eps(M_EPS, dim), BoundaryPair.from_string(bc), ch)
         for nu in (8.5, 49.5, 50.5, 100.5, column):
             u = nu * np.array(M_ZB)
             log = kern.log_m(nu, u)
-            slope_log, _ = kern.log_m_slope(nu, u)
+            slope_log, _ = kern.log_m(nu, u, slope=True)
             if not np.array_equal(log, slope_log):
                 misses.append(f"D={dim} {bc} {ch.value} nu={np.ravel(nu)}: "
                               f"{slope_log!r} vs {log!r}")

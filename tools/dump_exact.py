@@ -11,11 +11,12 @@ polynomials (coefficients as Fraction text, values at l = 1..200 as
 float.hex, scalar and array evaluation), the order-one Debye polynomials
 at the library's Robin ratios, ln I and ln K across the z = 1e8 seam
 of the uniform branch, up to z = 1e15, ln K in the small-z series
-window, and f_l, m_ratio and the force kernel _Kernel.df of every pair on
-both sides of nu = 50, which carry the sign of M_l.  Last come the exit code and full
-stdout of a few cheap ``casimir-spheres`` runs (a CSV and a JSON sweep with
-forces, a convergence ladder).  Two checkouts give byte-identical dumps exactly when a
-change leaves the numbers and the CLI output untouched:
+window, and f_l, m_ratio and the force kernel (_Kernel.f with ``slope``)
+of every pair on both sides of nu = 50, which carry the sign of M_l.  Last
+come the exit code and full stdout of a few cheap ``casimir-spheres`` runs
+(a CSV and a JSON sweep with forces, a convergence ladder).  Two checkouts
+give byte-identical dumps exactly when a change leaves the numbers and the
+CLI output untouched:
 
     PYTHONPATH=src python3 tools/dump_exact.py > new.txt
     diff old.txt new.txt
@@ -65,9 +66,10 @@ LARGE_Z = (3e4, 1e6, 9.9e7, 1e8, 1.01e8, 1.2e9, 1.26e10, 1e12, 1e15)
 # ln K inside and at the edge of the small-z series window, z^2 <= 4e-5 (nu - 1).
 SMALL_Z_NU = (2.0, 2.5)
 SMALL_Z = (1e-4, 1e-3, 6.3e-3)
-# f_l, m_ratio and _Kernel.df of every pair (M_l < 0 for the mixed ones) at the orders
-# nearest nu = 1.5, 49.5 and 50.5 on their side of the nu = 50 seam, and u = a1 xi from
-# 1e-6 to 1e9; at eps = 1e-9, |M_l| stays far from underflow out to u = 1e9.
+# f_l, m_ratio and the force kernel (_Kernel.f with slope) of every pair (M_l < 0 for
+# the mixed ones) at the orders nearest nu = 1.5, 49.5 and 50.5 on their side of the
+# nu = 50 seam, and u = a1 xi from 1e-6 to 1e9; at eps = 1e-9, |M_l| stays far from
+# underflow out to u = 1e9.
 KERNEL_L = {3: (1, 49, 50), 16: (1, 42, 43)}
 KERNEL_EPS = (0.5, 1e-9)
 KERNEL_U = (1e-6, 1.0, 1e3, 1e9)
@@ -258,7 +260,8 @@ def tables():
                    "u": [_hex(u) for u in KERNEL_U],
                    "f_l": [_hex(f_l(l, g, pair, ch, x)) for x in xi],
                    "m_ratio": [_hex(m_ratio(l, g, pair, ch, x)) for x in xi],
-                   "df": [_hex(v) for v in kern.df(nu_of(l, dim), np.array(KERNEL_U))]}
+                   "df": [_hex(v) for v in kern.f(nu_of(l, dim), np.array(KERNEL_U),
+                                                  slope=True)]}
 
 
 TABLE_KINDS = ("series", "degeneracy", "debye", "bessel", "kernel")

@@ -14,31 +14,31 @@ the integral
 
 each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
-channel's f is one _Kernel, evaluated at any real order nu on a numpy
-array of u: from the uniform expansion in ratio form at nu >= 50, also on
-a column of orders against one row of u per order, and below from the
-Robin factors of both spheres, scored together (_Kernel._robin_form).
-Both per-order walks (the frequency integral's nodes
-and the Matsubara frequencies) score a block of points per kernel call,
-with the stops, sums and counts of a one-point walk; the Matsubara walk
-sizes each block from the stop that the decay of |M| predicts, so most
-orders take one call, and reads the stop off the block at once.  At
-nu >= 50 the frequency walk scores a block of up to _L_BLOCK orders per
-call, sized from the orders left to the l-sum's stop.  One channel loop,
+channel's f is one _Kernel at any real order nu on a numpy array of u: in
+ratio form from the uniform expansion at nu >= 50, also on a column of
+orders against one row of u per order, and below, one order per call, from
+the Robin factors of both spheres (_Kernel._robin_form).  Both per-order
+walks (the frequency integral's nodes and the Matsubara frequencies) score a
+block of points per kernel call, with the stops, sums and counts of a
+one-point walk; the Matsubara walk sizes each block from the stop that the
+decay of |M| predicts and reads the stop off it.  One channel loop,
 _by_channel, runs every route and aggregates failures; under it the
 classical term sums numpy blocks of l, and the other routes run _l_by_l,
-whose stop rules read the terms one l at a time, in ascending order, and
-drop the orders of a block past the stop.  free_energy and zero_T_energy
-stop on a certified l-tail bound (power D-2 and D-1), folded into the error
-estimate.  force, -dE/da2 at fixed a1 (the force on the outer sphere), runs
-the same two sums on the a2-derivative of each term (_Kernel.f with
-``slope``; M_l depends on a2 only through u2 = a2 xi), with the l-tail
-power one higher, on the same ln|M| to the bit.  thermal_correction, whose
-per-l differences decay like T^(2 nu + 1), stops after two small
-differences past l = 3.  The stop rules read plain running totals; every
-sum that is returned (over l, over p, over the frequency nodes) is
-math.fsum of its kept terms, which is correctly rounded (Shewchuk 1997), so
-no block width or grouping changes a value.
+whose stop rules read the terms one l at a time and drop the orders of a
+block past the stop.  The energy, at T = 0 and above, and the force are one
+route, _exact_sum, over blocks of up to _L_BLOCK orders at nu >= 50, sized
+from the orders left to its stop (one kernel call per block of the frequency
+walk; the Matsubara sums one order at a time as the stop rule reads them),
+with a certified l-tail bound (power D-2, one higher at T = 0) folded into
+the error estimate.  force, -dE/da2 at fixed a1 (the force on the outer
+sphere), runs it on the a2-derivative of each term (_Kernel.f with
+``slope``; M_l depends on a2 only through u2 = a2 xi), with the l-tail power
+one higher, on the same ln|M| to the bit.  thermal_correction differences
+the two routes order by order and stops after two small differences past
+l = 3, adding the certified l-tail of the last one.  The stop rules read
+plain running totals; every sum that is returned (over l, over p, over the
+frequency nodes) is math.fsum of its kept terms, which is correctly rounded
+(Shewchuk 1997), so no block width or grouping changes a value.
 """
 
 from __future__ import annotations
@@ -91,10 +91,10 @@ class _Kernel:
     depend on nu.  ``sign`` is +1 for a homogeneous pair and -1 for a mixed
     one: each Robin factor c + t has the sign of c = alpha +- beta nu (as
     |alpha/beta| < nu), so M has that of f0's prefactor at every order and
-    u.  The methods give ln|M|.
+    u.  The methods give ln|M|.  ``pairs`` holds both Robin pairs as rows.
     """
 
-    __slots__ = ("r21", "alpha_log", "ab1", "ab2", "ratios", "sign", "degeneracy")
+    __slots__ = ("r21", "alpha_log", "ab1", "ab2", "pairs", "ratios", "sign", "degeneracy")
 
     def __init__(self, geometry: Geometry, bc_pair: BoundaryPair, channel: Channel):
         self.r21 = geometry.a2 / geometry.a1
@@ -103,6 +103,7 @@ class _Kernel:
         a2c = bc_coefficients(channel, bc_pair.outer, geometry.dim)
         self.ab1 = (float(a1c[0]), float(a1c[1]))
         self.ab2 = (float(a2c[0]), float(a2c[1]))
+        self.pairs = np.array((self.ab1, self.ab2))
         self.ratios = tuple(None if c[1] == 0 else float(c[0] / c[1]) for c in (a1c, a2c))
         self.sign = 1 if bc_pair.is_homogeneous else -1
         self.degeneracy = degeneracy_polynomial(channel, geometry.dim)
@@ -128,15 +129,17 @@ class _Kernel:
         """ln|M| at order nu and u = a1 * xi > 0, a float or an array; with
         ``slope`` (u an array) the pair (ln|M|, u2 d ln|M|/du2) at u2 = r21 u.
 
-        ``nu`` is a float, or an array of orders at nu >= 50 that broadcasts
-        against u, such as a column of orders against one row of u per order.
-        M depends on a2 only through u2 = a2 xi.  In ratio form (nu >= 50),
-        dg/du2 = 2 nu w2/u2, so u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below,
-        it is z R'/R of the outer sphere's K combination less that of its I
-        combination (_robin_form).  ln|M| does not depend on ``slope``.
+        ``nu`` is a float, or an array of orders that broadcasts against u,
+        such as a column of orders against one row of u per order: any number
+        at nu >= 50, one below, scored as a float.  M depends on a2 only
+        through u2 = a2 xi.  In ratio form (nu >= 50), dg/du2 = 2 nu w2/u2, so
+        u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below, it is z R'/R of the outer
+        sphere's K combination less that of its I combination (_robin_form).
+        ln|M| does not depend on ``slope``.
         """
-        if not (isinstance(nu, np.ndarray) or nu >= _DEBYE_MIN_NU):
-            return self._robin_form(nu, u, slope)
+        order = nu.flat[0] if isinstance(nu, np.ndarray) else nu
+        if order < _DEBYE_MIN_NU:
+            return self._robin_form(float(order), u, slope)
         outer = _uniform_series(nu, self.r21 * u, self.ratios[1], slope)
         log = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), outer[:3])
         if not slope:
@@ -163,8 +166,8 @@ class _Kernel:
         shape, u = np.shape(u), np.ravel(u)
         n = u.size
         z = np.concatenate((u, self.r21 * u))
-        alpha, beta = np.repeat((self.ab1, self.ab2), n, axis=0).T
-        outer_slope = np.repeat((False, slope), n)
+        alpha, beta = np.repeat(self.pairs, n, axis=0).T
+        outer_slope = np.arange(2 * n) >= n if slope else False
         logs, slopes = [], []
         for kind in "IK":
             lb0, c, t, *z_slope = _robin_terms(alpha, beta, nu, z, kind, outer_slope)
@@ -357,17 +360,19 @@ def _certified_stop(policy: TruncationPolicy, power: float, alpha: float):
     return rule
 
 
-def _difference_stop(policy: TruncationPolicy):
-    """Thermal-correction stop rule: two small differences past l = 3.
+def _difference_stop(policy: TruncationPolicy, power: float, alpha: float):
+    """Thermal-correction stop rule: two small differences past l = 3, ending
+    with the certified l-tail of the last one (terms ~ nu^power e^{-2 alpha nu}).
 
-    The differences decay like T^(2 nu + 1), so no l-tail is added.
+    At a1 T << 1 the differences decay like T^(2 nu + 1), so the tail is tiny;
+    from a1 T ~ 0.5 they fall like the free energy's terms, and it is not.
     """
     run = 0
 
     def rule(l, nu_val, term, total, err):
         nonlocal run
         run = run + 1 if abs(term) < max(policy.rel_tol * abs(total), 0.3 * err) else 0
-        return 0.0 if run >= 2 and l >= 3 else None
+        return _l_tail_bound(term, nu_val, power, alpha) if run >= 2 and l >= 3 else None
     return rule
 
 
@@ -490,61 +495,23 @@ def _check_temperature(name: str, T: float, zero: bool = False) -> None:
         raise ValueError(f"{name} requires a finite T {'>=' if zero else '>'} 0, got {T}")
 
 
-def _matsubara_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
-                   T: float, policy: TruncationPolicy, scale: float,
-                   slope: bool = False) -> EnergyResult:
-    """scale * sum_l d_l (the order's _matsubara_block), over the channels, certified.
-
-    The l-tail power is D - 2 for the free energy and D - 1 for its
-    a2-derivative (``slope``), whose terms carry a further factor ~ 2 nu.
-    """
-    a1T = geometry.a1 * T
-
-    def matsubara_terms(kern, nu, d_l):
-        for n, d in zip(nu, d_l):
-            block, ptail, p = _matsubara_block(kern, n, a1T, policy.rel_tol / 20.0,
-                                               policy.p_max_hard, slope)
-            yield scale * d * block, abs(scale) * d * ptail, p
-
-    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, matsubara_terms,
-        _certified_stop(policy, geometry.dim - 2 + slope, geometry.alpha_log)))
-    return _certified(res, policy)
-
-
-def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
-                channel: Optional[Channel], T: float,
-                policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
-    """Interaction free energy at temperature T > 0 (units of 1/a1 natural)."""
-    _check_temperature("free_energy", T)
-    return _matsubara_sum(geometry, bc_pair, channel, T, policy, T)
-
-
 def _de_values(integrand, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """F(t) = u'(t) integrand(nu, u(t)) at t = k h, u = c exp(t - e^-t), in one kernel call.
 
     One row per order of ``nu`` (with its scale in ``c``), one column per
-    integer of ``ks``.  A node where u underflows is 0: the ratio form at
-    nu >= 50 gives 0 there itself, and below nu = 50, where a block holds
-    one order, _Kernel._robin_form scores only the other nodes.
+    integer of ``ks``; the orders reach the kernel as a column.
     """
     t = ks * _DE_STEP
     e = np.exp(-t)
-    if nu[0] >= _DEBYE_MIN_NU:
-        u = c[:, None] * np.exp(t - e)
-        return u * (1.0 + e) * integrand(nu[:, None], u)
-    u = c[0] * np.exp(t - e)
-    live = u > 0.0
-    values = np.zeros_like(u)
-    values[live] = u[live] * (1.0 + e[live]) * integrand(float(nu[0]), u[live])
-    return values[None]
+    u = c[:, None] * np.exp(t - e)
+    return u * (1.0 + e) * integrand(nu[:, None], u)
 
 
 def _de_block_walk(integrand, nu: np.ndarray, c: np.ndarray) -> list:
     """The nodes k and values F(k h) of _zero_t_integrals' walk, two arrays per order.
 
-    ``nu`` holds one order below nu = 50, or any number at nu >= 50, and
-    ``c`` their scales.  The first kernel call scores _DE_BLOCK nodes per
+    ``nu`` holds the orders of a kernel column (_Kernel.log_m), and ``c``
+    their scales.  The first kernel call scores _DE_BLOCK nodes per
     side of every order.  On each block the running maximum along a row
     finds the node where a one-node walk would stop (the right side's peak
     carried into the left side); the nodes past it are dropped, and the
@@ -590,10 +557,11 @@ def _zero_t_integrals(kern: _Kernel, nu: list[float],
     Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
     q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
     from t = 0 on each side, the right one to t >= 1 at least, and stops at
-    the first node with |F| <= _DE_CUT max|F|; a node where u underflows, or
-    where f is 0, adds 0; the kernel scores a block of nodes of every order
-    per call (_de_block_walk), so ``nu`` holds one order below nu = 50 or
-    any number at nu >= 50.  The estimate is d1^2/d2 from the sums at 2h
+    the first node with |F| <= _DE_CUT max|F|, on the left long before u,
+    which falls like exp(-e^-t), underflows; a node where f is 0 adds 0.  The
+    kernel scores a block of nodes of every order per call (_de_block_walk)
+    on a column of orders (_Kernel.log_m), so ``nu`` holds one order below
+    nu = 50 or any number at nu >= 50.  The estimate is d1^2/d2 from the sums at 2h
     and 4h on the same nodes, plus a rounding allowance that grows with nu,
     as the kernel's exponent 2 nu w loses digits in proportion.  Every sum
     is math.fsum of one order's nodes, so no order changes another's result.
@@ -613,7 +581,7 @@ def _zero_t_integrals(kern: _Kernel, nu: list[float],
 
 
 def _orders_to_stop(policy: TruncationPolicy, power: float, alpha: float):
-    """Orders per block of the vacuum l-sum: one below nu = 50, from there
+    """Orders per block of _exact_sum's l-sum: one below nu = 50, from there
     the orders left to the certified stop, at most _L_BLOCK.
 
     ``width(nu, term, total)`` reads the last order's nu and term and the
@@ -634,29 +602,51 @@ def _orders_to_stop(policy: TruncationPolicy, power: float, alpha: float):
     return width
 
 
-def _vacuum_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
-                policy: TruncationPolicy, scale: float, slope: bool = False) -> EnergyResult:
-    """scale * sum_l d_l int_0^inf f (or df, with ``slope``) du, over the channels, certified.
+def _exact_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
+               T: float, policy: TruncationPolicy, slope: bool = False) -> EnergyResult:
+    """scale * sum_l d_l b_l over the channels, certified, b_l the order's
+    frequency integral of f (or df, with ``slope``) at T = 0 and its
+    Matsubara sum above; scale is 1/(2 pi a1) or T, times -1/a1 for the force.
 
-    The l-tail power is D - 1 for the energy and D for its a2-derivative.
+    Both routes take blocks of orders (_orders_to_stop); the Matsubara sums
+    are scored one order at a time as _l_by_l reads them, so none past the
+    stop.  The l-tail power is D - 2, one higher at T = 0, and one higher
+    for df, whose terms carry a further factor ~ 2 nu.
     """
-    def vacuum_terms(kern, nu, d_l):
-        for (integral, ierr), d in zip(_zero_t_integrals(kern, nu, slope), d_l):
-            yield scale * d * integral, abs(scale) * d * ierr, 0
+    unit = -1.0 / geometry.a1 if slope else 1.0
+    scale = unit / (2.0 * math.pi * geometry.a1) if T == 0.0 else unit * T
+    a1T = geometry.a1 * T
 
-    power = geometry.dim - 1 + slope
+    def exact_terms(kern, nu, d_l):
+        if T == 0.0:
+            blocks = ((*integral, 0) for integral in _zero_t_integrals(kern, nu, slope))
+        else:
+            blocks = (_matsubara_block(kern, n, a1T, policy.rel_tol / 20.0,
+                                       policy.p_max_hard, slope) for n in nu)
+        for (block, error, p), d in zip(blocks, d_l):
+            yield scale * d * block, abs(scale) * d * error, p
+
+    power = geometry.dim - 2 + (T == 0.0) + slope
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, vacuum_terms,
+        kern, geometry.dim, policy, exact_terms,
         _certified_stop(policy, power, geometry.alpha_log),
         _orders_to_stop(policy, power, geometry.alpha_log)))
     return _certified(res, policy)
+
+
+def free_energy(geometry: Geometry, bc_pair: BoundaryPair,
+                channel: Optional[Channel], T: float,
+                policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
+    """Interaction free energy at temperature T > 0 (units of 1/a1 natural)."""
+    _check_temperature("free_energy", T)
+    return _exact_sum(geometry, bc_pair, channel, T, policy)
 
 
 def zero_T_energy(geometry: Geometry, bc_pair: BoundaryPair,
                   channel: Optional[Channel] = None,
                   policy: TruncationPolicy = TruncationPolicy()) -> EnergyResult:
     """Vacuum (T = 0) interaction energy: (1/2 pi) sum_l d_l int_0^inf f_l."""
-    return _vacuum_sum(geometry, bc_pair, channel, policy, 1.0 / (2.0 * math.pi * geometry.a1))
+    return _exact_sum(geometry, bc_pair, channel, 0.0, policy)
 
 
 def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
@@ -665,10 +655,11 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     """E(T) - E_0 by per-l subtraction of the two exact routes.
 
     The Matsubara sum (at a tight tolerance) and the frequency integral are
-    evaluated for the same l and differenced term by term;
-    the difference decays like T^(2 nu + 1), so only a handful of l survive.
-    A warning is attached when the correction is within a decade of the
-    combined error estimate.
+    evaluated for the same l and differenced term by term, one order per
+    block; at a1 T << 1 the difference decays like T^(2 nu + 1), so only a
+    handful of l survive.  The error estimate adds the certified l-tail of
+    the last difference (_difference_stop).  A warning is attached when the
+    correction is within a decade of the combined error estimate.
     """
     _check_temperature("thermal_correction", T)
     a1T = geometry.a1 * T
@@ -684,7 +675,8 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
             yield delta, truncation + rounding, p
 
     res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, difference_terms, _difference_stop(policy)))
+        kern, geometry.dim, policy, difference_terms,
+        _difference_stop(policy, geometry.dim - 2, geometry.alpha_log)))
     if abs(res.value) < 10.0 * res.error_estimate:
         msg = (f"thermal correction {res.value:.3e} is within a decade of its combined "
                f"error estimate {res.error_estimate:.3e}; digits are not trustworthy")
@@ -705,11 +697,7 @@ def _force(geometry: Geometry, bc_pair: BoundaryPair, T: float,
            policy: TruncationPolicy) -> EnergyResult:
     """force as a certified result: its value, per-channel split and error estimate."""
     _check_temperature("force", T, zero=True)
-    scale = -1.0 / geometry.a1
-    if T == 0.0:
-        return _vacuum_sum(geometry, bc_pair, None, policy,
-                           scale / (2.0 * math.pi * geometry.a1), slope=True)
-    return _matsubara_sum(geometry, bc_pair, None, T, policy, scale * T, slope=True)
+    return _exact_sum(geometry, bc_pair, None, T, policy, slope=True)
 
 
 def force(geometry: Geometry, bc_pair: BoundaryPair, T: float = 0.0,

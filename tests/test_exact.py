@@ -719,6 +719,11 @@ def test_low_T_sums_take_about_one_kernel_call_per_order(monkeypatch):
         counts.update(calls=0, orders=0)
         assert run().p_used > 64
         assert counts["orders"] > 10 and counts["calls"] <= 1.2 * counts["orders"]
+    # past nu = 50 the sum takes blocks of orders, whose sums it scores one at a
+    # time as the stop reads them: none past the stop
+    counts.update(orders=0)
+    res = free_energy(Geometry.from_eps(0.1, 3), PCPC, Channel.TE, 0.5)
+    assert counts["orders"] == res.l_used == 135
 
 
 @pytest.mark.parametrize("width", [1, 7])
@@ -732,8 +737,14 @@ def test_blocks_change_no_result(monkeypatch, width):
     # in one window of frequencies each; the vacuum sums cross nu = 50 into blocks of
     # orders, stop at l = 51 just past it, or hit l_max_hard inside a block;
     # the forces' sums, on the a2-derivative of f, cross nu = 50 at T = 0 and
-    # run past p = 64 at T = 0.05
+    # run past p = 64 at T = 0.05; below nu = 50 the kernel scores a column of
+    # one order as that float order, to the bit
     g = Geometry.from_eps(0.1, 3)
+    kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
+    u = np.logspace(-3.0, 2.0, 16)
+    for nu, slope in itertools.product((1.5, 10.5, 49.5), (False, True)):
+        assert np.array_equal(kern.f(np.array([[nu]]), u[None], slope)[0],
+                              kern.f(nu, u, slope))
     walk_kern = exact._Kernel(Geometry.from_eps(0.05, 3), PCPC, Channel.TE)
 
     def run():
@@ -820,6 +831,29 @@ def test_thermal_correction_warns_when_noise_dominates():
     with pytest.warns(RuntimeWarning):
         res = thermal_correction(g, PCPC, None, 1e-3)
     assert res.warnings
+
+
+def test_thermal_correction_within_its_estimate_at_every_T():
+    # from a1 T ~ 0.5 the differences fall like the free energy's terms, and
+    # the l-tail of the last one must be in the estimate; the reference is the
+    # same call at rel_tol 1e-13, which agrees with the two routes' difference
+    # where that difference keeps its digits (a1 T >= 1)
+    tight = TruncationPolicy(rel_tol=1e-13)
+    misses = []
+    for temp, dim, pair in itertools.product((0.05, 0.5, 1.0, 3.0), (3, 5), (PCPC, PCIP)):
+        g = Geometry.from_eps(0.5, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = thermal_correction(g, pair, None, temp)
+            ref = thermal_correction(g, pair, None, temp, tight).value
+        if not abs(res.value - ref) <= res.error_estimate:
+            misses.append(f"T={temp} D={dim} {pair}: {res.value!r} +- "
+                          f"{res.error_estimate:.2e} vs {ref!r}")
+        if temp >= 1.0:
+            two_routes = (free_energy(g, pair, None, temp, tight).value
+                          - zero_T_energy(g, pair, None, tight).value)
+            assert ref == pytest.approx(two_routes, rel=1e-13, abs=0.0)
+    assert not misses, "\n".join(misses)
 
 
 def test_force_signs():

@@ -4,6 +4,9 @@ Each line is one call: its arguments, then either the full result (value,
 per-channel split, l_used, p_used, error_estimate, warnings; floats as
 float.hex) or the exception type and its ``partial``, ``l_used`` and
 ``p_used``; a force call records the result whose value ``force`` returns.
+The thermal corrections run at a1 T from 1e-3 to 3: at T = 1 and 3 (D = 3,
+eps = 0.5, pc,pc and pc,ip) their l-sums stop on the tail of differences
+that fall like the free energy's terms.
 Then come the exact tables behind the series: every term of the small-gap
 expansions (D 3..16, four pairs, TE/TM/total) and of the assembly route
 (D 4..16), the degeneracy
@@ -126,6 +129,11 @@ def calls():
            (g5, pcpc, Channel.TE, 0.1, TruncationPolicy(p_max_hard=45)))
     yield ("free l_max_hard=8 TE", free_energy,
            (g5, pcpc, Channel.TE, 0.1, TruncationPolicy(l_max_hard=8)))
+    # From a1 T ~ 0.5 the thermal differences fall only like the free energy's
+    # terms, and the l-tail of the last one bounds the truncation error.
+    for temp, bc in itertools.product((1.0, 3.0), ("pc,pc", "pc,ip")):
+        yield (f"thermal T={temp} D=3 eps=0.5 bc={bc}", thermal_correction,
+               (g5, BoundaryPair.from_string(bc), None, temp))
     yield ("free p_max_hard=45 total", free_energy,
            (g5, pcpc, None, 0.1, TruncationPolicy(p_max_hard=45)))
     # eps = 0.1 sums run past l = 50, into the uniform (Debye) branch.

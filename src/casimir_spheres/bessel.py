@@ -32,12 +32,17 @@ form at nu >= 50, on a block of orders and frequencies per call, where the
 sqrt(nu) and w prefactors of I and K cancel and the two spheres' w values
 give the decay exponent.
 
-Below nu = 50 the exact module scores ln M_l from _robin_terms, which takes
-a 1-d array of z and a Robin pair per element, so one call per kind scores
-both spheres: each element takes the branch log_bessel_i/k would take for
-it, the series (summed in the scalar loop's order, with its own stop) and
+Below nu = 50 the exact module scores ln M_l from the two halves of a
+Robin combination.  _bessel_terms is the Bessel half: ln B_nu and the
+neighbour ratio q on a 1-d array of z, scored once per kind, order and z
+for every Robin pair there, so one call per kind scores both spheres, and
+both channels.  Each element takes the branch log_bessel_i/k would take for
+it: the series (summed in the scalar loop's order, with its own stop) and
 AMOS on the masked elements at once, the uniform branch (rare there)
 through the public scalar functions one element at a time.
+_robin_factors is the per-pair arithmetic: c, t and z R'/R from q, on one
+row of Robin pairs per channel.  _robin_terms, under robin_combination,
+joins the two for one pair per element.
 
 The branches overlap and are required (and tested) to agree to better than
 1e-9 relative; the design target is 1e-12 relative accuracy of exp(result)
@@ -55,7 +60,7 @@ condition of the library has |alpha/beta| <= (D-2)/2 < nu, so the exact
 module sums ln|c + t| with no cancellation test.  robin_combination, the
 public form, recomputes a factor that loses more than six decimal digits
 to cancellation in arbitrary precision.  The force needs z R'/R as well,
-from the same neighbour ratio and the Bessel equation (_robin_terms), and
+from the same neighbour ratio and the Bessel equation (_robin_factors), and
 _uniform_series (with ``slope``) the z-derivatives of E and O, by carrying
 the derivatives of its polynomials through Horner's rule.
 """
@@ -328,27 +333,47 @@ def _robin_mpmath(alpha: float, beta: float, nu: float, z: float, kind: str) -> 
         return SignedLog(int(mp.sign(comb)), float(mp.log(abs(comb))))
 
 
-def _robin_terms(alpha, beta, nu: float, z: np.ndarray, kind: str, slope=False):
-    """ln B_nu, c and t of alpha*B_nu(z) + beta*z*B'_nu(z) = B_nu (c + t) at a 1-d
-    array of z, and if ``slope`` (a bool, or one per element) is set anywhere also
-    z R'/R, which holds where it is set; alpha and beta are floats or arrays of z's
-    shape.  q = z I_{nu+1}/I_nu (kind "I") or z K_{|nu-1|}/K_nu gives t and
-    rho = z B'/B (nu + q, or -(nu + q)); it is scored only where beta != 0 or the
-    slope is set.  The Bessel equation z^2 B'' = -z B' + (z^2 + nu^2) B gives
-    z R'/R = (alpha rho + beta (z^2 + nu^2)) / (c + t).  No element depends on another.
+def _bessel_terms(nu: float, z: np.ndarray, kind: str, need: np.ndarray):
+    """The Bessel half of alpha*B_nu(z) + beta*z*B'_nu(z) at a 1-d array of z, shared
+    by every Robin pair at z: ln B_nu, and q = z I_{nu+1}/I_nu (kind "I") or
+    z K_{|nu-1|}/K_nu where the bool array ``need`` is set (0 elsewhere).  One
+    _log_bessel_array call for B_nu, and one for the neighbouring order if ``need``
+    is set anywhere.  No element depends on another.
     """
     _check_args(nu, z)
     lb0 = _log_bessel_array(kind, nu, z)
     q = np.zeros_like(z)
-    need = np.logical_or(slope, np.not_equal(beta, 0.0), out=np.empty(z.shape, bool))
     if need.any():
         other = nu + 1.0 if kind == "I" else abs(nu - 1.0)
         q[need] = z[need] * np.exp(_log_bessel_array(kind, other, z[need]) - lb0[need])
+    return lb0, q
+
+
+def _robin_factors(alpha, beta, nu: float, z, q, kind: str, slope=False):
+    """c and t of alpha*B_nu(z) + beta*z*B'_nu(z) = B_nu (c + t) from _bessel_terms' q,
+    and if ``slope`` (a bool, or one per element) is set anywhere also z R'/R, which
+    holds where it is set.  alpha, beta, z, q and ``slope`` broadcast against each
+    other, such as one row of Robin pairs per channel against one row of z.  t and
+    rho = z B'/B (nu + q, or -(nu + q)) hold where q was scored: where beta != 0
+    for t, and where the slope is set for rho.  The Bessel equation
+    z^2 B'' = -z B' + (z^2 + nu^2) B gives z R'/R = (alpha rho + beta (z^2 + nu^2)) / (c + t).
+    """
     rho, c, t = (nu + q, alpha + beta * nu, beta * q) if kind == "I" \
         else (-(nu + q), alpha - beta * nu, -beta * q)
     if not np.any(slope):
-        return lb0, c, t
-    return lb0, c, t, (alpha * rho + beta * (z * z + nu * nu)) / (c + t)
+        return c, t
+    return c, t, (alpha * rho + beta * (z * z + nu * nu)) / (c + t)
+
+
+def _robin_terms(alpha, beta, nu: float, z: np.ndarray, kind: str, slope=False):
+    """ln B_nu, c and t of alpha*B_nu(z) + beta*z*B'_nu(z) = B_nu (c + t) at a 1-d
+    array of z, and if ``slope`` is set anywhere also z R'/R (_robin_factors);
+    alpha and beta are floats or arrays of z's shape.  The neighbour ratio q is
+    scored only where beta != 0 or the slope is set.
+    """
+    need = np.logical_or(slope, np.not_equal(beta, 0.0), out=np.empty(z.shape, bool))
+    lb0, q = _bessel_terms(nu, z, kind, need)
+    return (lb0, *_robin_factors(alpha, beta, nu, z, q, kind, slope))
 
 
 def robin_combination(alpha: float, beta: float, nu: float, z,

@@ -14,31 +14,36 @@ the integral
 
 each order's integral by one fixed-step double-exponential rule.  Both
 series converge geometrically in l at rate exp(-2 nu log(a2/a1)).  Each
-channel's f is one _Kernel at any real order nu on a numpy array of u: in
-ratio form from the uniform expansion at nu >= 50, also on a column of
-orders against one row of u per order, and below, one order per call, from
-the Robin factors of both spheres (_Kernel._robin_form).  Both per-order
-walks (the frequency integral's nodes and the Matsubara frequencies) score a
-block of points per kernel call, with the stops, sums and counts of a
-one-point walk; the Matsubara walk sizes each block from the stop that the
-decay of |M| predicts and reads the stop off it.  One channel loop,
-_by_channel, runs every route and aggregates failures; under it the
-classical term sums numpy blocks of l, and the other routes run _l_by_l,
-whose stop rules read the terms one l at a time and drop the orders of a
-block past the stop.  The energy, at T = 0 and above, and the force are one
-route, _exact_sum, over blocks of up to _L_BLOCK orders at nu >= 50, sized
-from the orders left to its stop (one kernel call per block of the frequency
-walk; the Matsubara sums one order at a time as the stop rule reads them),
+channel's f is one _Kernel at any real order nu on a numpy array of u, and
+_joint_f scores the channels of a call together on shared points, one row
+per channel: in ratio form from the uniform expansion at nu >= 50, channel
+by channel, also on a column of orders against one row of u per order, and
+below, one order per call, from the Robin factors of both spheres, where TE
+and TM share every Bessel evaluation (_robin_form).  Both per-order walks
+(the frequency integral's nodes and the Matsubara frequencies, neither of
+which depends on the channel) score a block of points of every live channel
+per kernel call, with the stops, sums and counts of a one-point walk; the
+Matsubara walk sizes each block from the stop that the decay of |M|
+predicts and reads the stop off it.  One channel loop, _by_channel, runs
+every route and aggregates failures; under it the classical term sums
+numpy blocks of l, and the other routes run _l_by_l, which walks the
+channels in lockstep: each keeps its own stop rule, kept terms, sums and
+counts, reads its terms one l at a time and drops the orders of a block
+past its stop, and a channel that has stopped is left out of later kernel
+calls.  The energy, at T = 0 and above, and the force are one route,
+_exact_sum, over blocks of up to _L_BLOCK orders at nu >= 50, sized from
+the orders left to the stop (one kernel call per block of the frequency
+walk; the Matsubara sums one order at a time as the stop rules read them),
 with a certified l-tail bound (power D-2, one higher at T = 0) folded into
 the error estimate.  force, -dE/da2 at fixed a1 (the force on the outer
-sphere), runs it on the a2-derivative of each term (_Kernel.f with
+sphere), runs it on the a2-derivative of each term (_joint_f with
 ``slope``; M_l depends on a2 only through u2 = a2 xi), with the l-tail power
 one higher, on the same ln|M| to the bit.  thermal_correction differences
 the two routes order by order and stops after two small differences past
 l = 3, adding the certified l-tail of the last one.  The stop rules read
 plain running totals; every sum that is returned (over l, over p, over the
 frequency nodes) is math.fsum of its kept terms, which is correctly rounded
-(Shewchuk 1997), so no block width or grouping changes a value.
+(Shewchuk 1997), so no block width, grouping or channel set changes a value.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from typing import Optional
 import numpy as np
 from scipy import special as _sp
 
-from .bessel import _DEBYE_MIN_NU, _robin_terms, _uniform_series
+from .bessel import _DEBYE_MIN_NU, _bessel_terms, _robin_factors, _uniform_series
 from .errors import NonConvergenceError, PrecisionLossError
 from .geometry import EnergyResult, Geometry, TruncationPolicy
 from .modes import (BoundaryPair, Channel, bc_coefficients, degeneracy_polynomial,
@@ -127,69 +132,33 @@ class _Kernel:
 
     def log_m(self, nu, u, slope: bool = False):
         """ln|M| at order nu and u = a1 * xi > 0, a float or an array; with
-        ``slope`` (u an array) the pair (ln|M|, u2 d ln|M|/du2) at u2 = r21 u.
-
-        ``nu`` is a float, or an array of orders that broadcasts against u,
-        such as a column of orders against one row of u per order: any number
-        at nu >= 50, one below, scored as a float.  M depends on a2 only
-        through u2 = a2 xi.  In ratio form (nu >= 50), dg/du2 = 2 nu w2/u2, so
-        u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2; below, it is z R'/R of the outer
-        sphere's K combination less that of its I combination (_robin_form).
-        ln|M| does not depend on ``slope``.
-        """
-        order = nu.flat[0] if isinstance(nu, np.ndarray) else nu
-        if order < _DEBYE_MIN_NU:
-            return self._robin_form(float(order), u, slope)
-        outer = _uniform_series(nu, self.r21 * u, self.ratios[1], slope)
-        log = self._ratio_form(nu, _uniform_series(nu, u, self.ratios[0]), outer[:3])
-        if not slope:
-            return log
-        w2, e2, o2, ze2, zo2 = outer
-        return log, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
-                                      - (ze2 - zo2) / (1.0 + e2 - o2))
+        ``slope`` (u an array) the pair (ln|M|, u2 d ln|M|/du2) at u2 = r21 u:
+        the one-channel case of _joint_log_m."""
+        out = _joint_log_m((self,), nu, u, slope)
+        return (out[0][0], out[1][0]) if slope else out[0]
 
     def f(self, nu, u, slope: bool = False):
-        """f at order nu and u = a1 * xi > 0, a float or an array (orders as in log_m);
-        with ``slope`` (u an array) a1 df/da2 at fixed xi,
-        u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21, where M/(1 - M) is expm1(-f).
-        """
-        if not slope:
-            return _log_one_minus_array(self.sign, self.log_m(nu, u))
-        log, u2_slope = self.log_m(nu, u, slope)
-        return -np.expm1(-_log_one_minus_array(self.sign, log)) * u2_slope / self.r21
+        """f at order nu and u = a1 * xi > 0, a float or an array (orders as in
+        _joint_log_m); with ``slope`` (u an array) a1 df/da2 at fixed xi: the
+        one-channel case of _joint_f."""
+        return _joint_f((self,), nu, u, slope)[0]
 
-    def _robin_form(self, nu: float, u, slope: bool = False):
-        """ln|M| below nu = 50 at u a float or 1-d array, with ``slope`` also
-        u2 d ln|M|/du2: u and u2 = r21 u stacked, each with its sphere's Robin pair,
-        in one bessel._robin_terms call per kind (the slope on u2 only);
-        ln|B (c + t)| = ln B + ln|c + t|, as c and t share a sign (|alpha/beta| < nu)."""
-        shape, u = np.shape(u), np.ravel(u)
-        n = u.size
-        z = np.concatenate((u, self.r21 * u))
-        alpha, beta = np.repeat(self.pairs, n, axis=0).T
-        outer_slope = np.arange(2 * n) >= n if slope else False
-        logs, slopes = [], []
-        for kind in "IK":
-            lb0, c, t, *z_slope = _robin_terms(alpha, beta, nu, z, kind, outer_slope)
-            log = lb0 + np.log(np.abs(c + t))
-            logs += [log[:n], log[n:]]
-            slopes += [zs[n:] for zs in z_slope]
-        i1, i2, k1, k2 = logs
-        log = ((i1 + k2) - (i2 + k1)).reshape(shape)[()]
-        if not slope:
-            return log
-        i2_slope, k2_slope = slopes
-        return log, (k2_slope - i2_slope).reshape(shape)[()]
-
-    def _ratio_form(self, nu, inner, outer):
-        """ln|M| = -g + X1 - X2 from the uniform (w, E, O) at u and u2; M has the pair's sign.
+    def _ratio_form(self, nu, u, slope: bool = False):
+        """ln|M| = -g + X1 - X2 from the uniform (w, E, O) at u and u2 (nu >= 50), and
+        with ``slope`` also u2 d ln|M|/du2 = -2 nu w2 - u2 dX2/du2, as dg/du2 = 2 nu w2/u2.
 
         X = ln[(1 + E + O)/(1 + E - O)], g = 2 nu [eta(u2/nu) - eta(u/nu)] as one
-        log; the sqrt(nu) and w prefactors cancel."""
-        (w1, e1, o1), (w2, e2, o2) = inner, outer
+        log; the sqrt(nu) and w prefactors cancel, and M has the pair's sign."""
+        w1, e1, o1 = _uniform_series(nu, u, self.ratios[0])
+        w2, e2, o2, *z_slope = _uniform_series(nu, self.r21 * u, self.ratios[1], slope)
         g = 2.0 * nu * (w2 - w1 + np.log(self.r21 * (1.0 + w1) / (1.0 + w2)))
-        return -g + (np.log1p(e1 + o1) - np.log1p(e1 - o1)) \
+        log = -g + (np.log1p(e1 + o1) - np.log1p(e1 - o1)) \
             - (np.log1p(e2 + o2) - np.log1p(e2 - o2))
+        if not slope:
+            return log
+        ze2, zo2 = z_slope
+        return log, -2.0 * nu * w2 - ((ze2 + zo2) / (1.0 + e2 + o2)
+                                      - (ze2 - zo2) / (1.0 + e2 - o2))
 
     def decay(self, nu: float, u, lib=np):
         """(g'(u), w1, w2), w = sqrt(1 + (z/nu)^2) at z = u > 0 and r21 u: |M| falls like
@@ -197,6 +166,70 @@ class _Kernel:
         2 nu ln r21), at the rate g' = 2 nu (w2 - w1)/u.  ``lib`` is math or numpy."""
         w1, w2 = lib.hypot(1.0, u / nu), lib.hypot(1.0, self.r21 * u / nu)
         return 2.0 * nu * (w2 - w1) / u, w1, w2
+
+
+def _joint_log_m(kernels, nu, u, slope: bool = False):
+    """ln|M| of each kernel at order nu and u = a1 * xi > 0, one row per kernel; with
+    ``slope`` (u an array) also u2 d ln|M|/du2 at u2 = r21 u, rows likewise.
+
+    ``kernels`` are channels of one geometry and boundary pair.  ``nu`` is a
+    float, or an array of orders that broadcasts against u, such as a column of
+    orders against one row of u per order: any number at nu >= 50, one below,
+    scored as a float.  M depends on a2 only through u2 = a2 xi.  Below nu = 50
+    the kernels share every Bessel evaluation (_robin_form); from there each
+    kernel takes its own ratio form, whose uniform series differ by channel.
+    ln|M| does not depend on ``slope``.
+    """
+    order = nu.flat[0] if isinstance(nu, np.ndarray) else nu
+    if order < _DEBYE_MIN_NU:
+        return _robin_form(kernels, float(order), u, slope)
+    rows = [kern._ratio_form(nu, u, slope) for kern in kernels]
+    return tuple(map(np.stack, zip(*rows))) if slope else np.stack(rows)
+
+
+def _joint_f(kernels, nu, u, slope: bool = False):
+    """f = ln(1 - M) of each kernel at order nu and u (as in _joint_log_m), one row per
+    kernel; with ``slope`` (u an array) a1 df/da2 at fixed xi,
+    u df/du2 = -(M/(1 - M)) u2 d ln|M|/du2 / r21, where M/(1 - M) is expm1(-f).
+    The kernels share the sign of M and r21.
+    """
+    sign = kernels[0].sign
+    if not slope:
+        return _log_one_minus_array(sign, _joint_log_m(kernels, nu, u))
+    log, u2_slope = _joint_log_m(kernels, nu, u, slope)
+    return -np.expm1(-_log_one_minus_array(sign, log)) * u2_slope / kernels[0].r21
+
+
+def _robin_form(kernels, nu: float, u, slope: bool = False):
+    """ln|M| of each kernel below nu = 50 at u a float or an array, one row per kernel,
+    with ``slope`` also u2 d ln|M|/du2 (the outer sphere's K combination's z R'/R
+    less its I combination's).  u and u2 = r21 u are stacked, and one
+    bessel._bessel_terms call per kind scores them for every kernel, with the
+    neighbour ratio where any kernel's sphere has beta != 0, and on u2 for the
+    slope: at most 4 _log_bessel_array calls.  Each kernel's Robin pairs, one
+    row per kernel, then give its factors (bessel._robin_factors);
+    ln|B (c + t)| = ln B + ln|c + t|, as c and t share a sign (|alpha/beta| < nu).
+    """
+    shape, u = np.shape(u), np.ravel(u)
+    n = u.size
+    z = np.concatenate((u, kernels[0].r21 * u))
+    alpha, beta = np.stack([kern.pairs for kern in kernels]).repeat(n, axis=1).transpose(2, 0, 1)
+    outer = np.arange(2 * n) >= n if slope else False
+    need = np.logical_or(outer, (beta != 0.0).any(axis=0))
+    logs, slopes = [], []
+    for kind in "IK":
+        lb0, q = _bessel_terms(nu, z, kind, need)
+        c, t, *z_slope = _robin_factors(alpha, beta, nu, z, q, kind, outer)
+        log = lb0 + np.log(np.abs(c + t))
+        logs += [log[:, :n], log[:, n:]]
+        slopes += [zs[:, n:] for zs in z_slope]
+    rows = (len(kernels),) + shape
+    i1, i2, k1, k2 = logs
+    log = ((i1 + k2) - (i2 + k1)).reshape(rows)
+    if not slope:
+        return log
+    i2_slope, k2_slope = slopes
+    return log, (k2_slope - i2_slope).reshape(rows)
 
 
 def _log_one_minus_array(sign: int, log):
@@ -258,26 +291,29 @@ def _l_tail_bound(term: float, nu_val: float, power: float, alpha: float) -> flo
 
 
 def _by_channel(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Channel],
-                channel_sum) -> EnergyResult:
-    """Add up ``channel_sum(kernel)`` over the requested channel or TE and TM.
+                channel_sums) -> EnergyResult:
+    """Add up ``channel_sums(kernels)`` over the requested channel or TE and TM.
 
-    ``channel_sum`` gives one channel's (value, error, l_used, p_used), or
-    raises NonConvergenceError with that channel's partial sum, l_used and
-    p_used.  Every channel runs to its own stop or cap; if any fails, one
-    NonConvergenceError carries the first failure's message and, as
-    ``partial``, the sum of every channel's completed terms.
+    ``channel_sums`` gives one outcome per kernel: that channel's (value,
+    error, l_used, p_used), or a NonConvergenceError with its partial sum,
+    l_used and p_used.  Every channel runs to its own stop or cap; if any
+    fails, one NonConvergenceError carries the first failure's message, in
+    channel order (TE, then TM), and, as ``partial``, the sum of every
+    channel's completed terms, with the largest l_used and p_used.
     """
+    channels = (channel,) if channel is not None else (Channel.TE, Channel.TM)
+    outcomes = channel_sums([_Kernel(geometry, bc_pair, ch) for ch in channels])
     per_channel: dict[str, float] = {}
     l_used = p_used = 0
     err = 0.0
     failure = None
-    for ch in (channel,) if channel is not None else (Channel.TE, Channel.TM):
-        try:
-            value, ch_err, ch_l, ch_p = channel_sum(_Kernel(geometry, bc_pair, ch))
+    for ch, outcome in zip(channels, outcomes):
+        if isinstance(outcome, NonConvergenceError):
+            failure = failure or outcome
+            value, ch_l, ch_p = outcome.partial, outcome.l_used, outcome.p_used
+        else:
+            value, ch_err, ch_l, ch_p = outcome
             err += ch_err
-        except NonConvergenceError as exc:
-            failure = failure or exc
-            value, ch_l, ch_p = exc.partial, exc.l_used, exc.p_used
         per_channel[ch.value] = value
         l_used, p_used = max(l_used, ch_l), max(p_used, ch_p)
     if failure is not None:
@@ -298,7 +334,8 @@ def _certified(res: EnergyResult, policy: TruncationPolicy) -> EnergyResult:
 
 
 def _classical_blocks(kern: _Kernel, dim: int, policy: TruncationPolicy):
-    """One channel's (1/2) sum_l d_l f(nu_l, 0), scored in numpy blocks of l.
+    """One channel's (1/2) sum_l d_l f(nu_l, 0), scored in numpy blocks of l, as an
+    outcome of _by_channel.
 
     Stops once the last term and the certified l-tail (power D-2) fit the
     tolerance; ``l_used`` is the last l whose term is significant.
@@ -322,9 +359,9 @@ def _classical_blocks(kern: _Kernel, dim: int, policy: TruncationPolicy):
                 < policy.rel_tol * abs(total):
             return math.fsum(kept), tail, l_used, 0
         if hi >= policy.l_max_hard:
-            raise NonConvergenceError(f"classical term hit l_max_hard={policy.l_max_hard} "
-                                      f"before reaching rel_tol={policy.rel_tol}",
-                                      partial=math.fsum(kept), l_used=hi)
+            return NonConvergenceError(f"classical term hit l_max_hard={policy.l_max_hard} "
+                                       f"before reaching rel_tol={policy.rel_tol}",
+                                       partial=math.fsum(kept), l_used=hi)
         lo = hi + 1
 
 
@@ -336,8 +373,8 @@ def classical_term(geometry: Geometry, bc_pair: BoundaryPair,
     An elementary series: (1/2) sum_l d_l(D) ln(1 - pref_l (a1/a2)^(2 nu)).
     Multiply by T to obtain the high-temperature (classical) energy.
     """
-    res = _by_channel(geometry, bc_pair, channel,
-                      lambda kern: _classical_blocks(kern, geometry.dim, policy))
+    res = _by_channel(geometry, bc_pair, channel, lambda kernels: [
+        _classical_blocks(kern, geometry.dim, policy) for kern in kernels])
     return _certified(res, policy)
 
 
@@ -376,40 +413,65 @@ def _difference_stop(policy: TruncationPolicy, power: float, alpha: float):
     return rule
 
 
-def _l_by_l(kern: _Kernel, dim: int, policy: TruncationPolicy, terms, rule,
-            width=lambda nu, term, total: 1):
-    """One channel's sum over l of d_l-weighted per-l blocks.
+def _l_by_l(kernels, dim: int, policy: TruncationPolicy, terms, rule,
+            width=lambda nu, term, total: 1) -> list:
+    """Each channel's sum over l of d_l-weighted per-l blocks, the channels in lockstep.
 
-    ``width(nu, term, total)`` gives the number of orders to score next,
-    from the last order's nu and term (nu_0 and 0 before l = 1) and the
-    running total; ``terms(kern, nu, d_l)`` gives one (term, error, p_used)
-    per order of the list ``nu``, in order; ``rule(l, nu, term, total,
-    err)`` returns the l-tail bound that ends the sum, or None.  The rule
-    runs one l at a time on a plain running total, and the orders past the
-    stop are dropped; the value, and the ``partial`` of a failure, is
-    math.fsum of the completed terms.
+    ``terms(kernels, nu, d_l)`` gives, per order of the list ``nu`` and in
+    order, one (term, error, p_used) per kernel, or that channel's
+    NonConvergenceError; ``d_l`` holds each order's degeneracies, one per
+    kernel.  ``rule()`` makes one channel's stop rule: ``rule(l, nu, term,
+    total, err)`` returns the l-tail bound that ends the sum, or None.
+    ``width(nu, term, total)`` gives a channel's number of orders to score
+    next, from the last order's nu and that channel's term (nu_0 and 0 before
+    l = 1) and running total; a block takes the most over the live channels.
+    Each channel keeps its own kept terms, running total, error, counts and
+    stop, read one l at a time; a block scores the channels live at its start
+    and ends at the first order where one of them stops or fails, so later
+    blocks leave that channel out, and its orders past the stop are dropped.
+    Returns one outcome per kernel: (value, error, l_used, p_used), the value
+    math.fsum of the completed terms, or a NonConvergenceError whose
+    ``partial`` is that fsum.
     """
-    kept: list[float] = []
-    total = err = t = 0.0
-    l_used = p_used = 0
-    nu = (dim - 2) / 2.0
-    try:
-        while l_used < policy.l_max_hard:
-            ls = range(l_used + 1, min(l_used + width(nu, t, total), policy.l_max_hard) + 1)
-            nus = [l + (dim - 2) / 2.0 for l in ls]
-            for l, nu, (t, error, p) in zip(ls, nus, terms(
-                    kern, nus, [kern.degeneracy(n) for n in nus])):
-                kept.append(t)
-                total += t
-                err += error
-                l_used, p_used = l, max(p_used, p)
-                ltail = rule(l, nu, t, total, err)
+    count = len(kernels)
+    kept: list[list[float]] = [[] for _ in kernels]
+    total, err, last = [0.0] * count, [0.0] * count, [0.0] * count
+    p_used = [0] * count
+    rules = [rule() for _ in kernels]
+    out: list = [None] * count
+    live = list(range(count))
+    l, nu = 0, (dim - 2) / 2.0
+    while live:
+        if l >= policy.l_max_hard:
+            for i in live:
+                out[i] = NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}",
+                                             partial=math.fsum(kept[i]), l_used=l,
+                                             p_used=p_used[i])
+            break
+        size = max(width(nu, last[i], total[i]) for i in live)
+        ls = range(l + 1, min(l + size, policy.l_max_hard) + 1)
+        nus = [n + (dim - 2) / 2.0 for n in ls]
+        walked = [kernels[i] for i in live]
+        for l, nu, row in zip(ls, nus, terms(
+                walked, nus, [[kern.degeneracy(n) for kern in walked] for n in nus])):
+            for i, outcome in zip(live, row):
+                if isinstance(outcome, NonConvergenceError):
+                    out[i] = NonConvergenceError(str(outcome), partial=math.fsum(kept[i]),
+                                                 l_used=l - 1,
+                                                 p_used=max(p_used[i], outcome.p_used))
+                    continue
+                t, error, p = outcome
+                kept[i].append(t)
+                total[i] += t
+                err[i] += error
+                last[i], p_used[i] = t, max(p_used[i], p)
+                ltail = rules[i](l, nu, t, total[i], err[i])
                 if ltail is not None:
-                    return math.fsum(kept), err + ltail, l_used, p_used
-        raise NonConvergenceError(f"angular sum hit l_max_hard={policy.l_max_hard}")
-    except NonConvergenceError as exc:
-        raise NonConvergenceError(str(exc), partial=math.fsum(kept), l_used=l_used,
-                                  p_used=max(p_used, exc.p_used)) from None
+                    out[i] = (math.fsum(kept[i]), err[i] + ltail, l, p_used[i])
+            if any(out[i] is not None for i in live):
+                live = [i for i in live if out[i] is None]
+                break
+    return out
 
 
 def _p_tail(size, r, p, slope: bool):
@@ -422,25 +484,33 @@ def _p_tail(size, r, p, slope: bool):
     return tail * (1.0 + 1.0 / (p * one)) if slope else tail
 
 
-def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
-                     p_max: int, slope: bool = False) -> tuple[float, float, int]:
-    """f0/2 + sum_p f(u_p) for one order, with certified p-tail bound; with
-    ``slope``, a1 times its a2-derivative, df0/2 + sum_p df(u_p).
+def _matsubara_block(kernels, nu: float, a1T: float, rel_tol: float, p_max: int,
+                     slope: bool = False) -> list:
+    """Each kernel's f0/2 + sum_p f(u_p) for one order, with certified p-tail bound; with
+    ``slope``, a1 times its a2-derivative, df0/2 + sum_p df(u_p).  One outcome per
+    kernel: (value, tail, p_used), or a NonConvergenceError at p_max.
 
-    The sum stops at the first p whose _p_tail, at r = exp(-g'(u_p) du), is below rel_tol
-    of the running total.  A kernel call scores the frequencies up to a stop forecast on
-    estimated terms ref e^(h(u_(p-1)) - h(u_k)), ref the last term (f0 or df0 at u_0 = 0),
-    h = g of _Kernel.decay, less ln w2 for df (u2 d ln|M|/du2 ~ -2 nu w2): _P_SHORT of them
-    if a scalar forecast ends the sum there, else up to _P_SHORT/2 + 5% past the first
-    forecast stop, at most _P_CAP.  The stop is read off each window at once, on running
-    totals that add its terms in order; the value is math.fsum of the terms up to it.
+    A channel's sum stops at the first p whose _p_tail, at r = exp(-g'(u_p) du), is below
+    rel_tol of its running total.  A kernel call scores the frequencies up to a stop
+    forecast on estimated terms ref e^(h(u_(p-1)) - h(u_k)), ref a channel's last term (f0
+    or df0 at u_0 = 0), h = g of _Kernel.decay, less ln w2 for df (u2 d ln|M|/du2 ~
+    -2 nu w2): _P_SHORT of them if a scalar forecast ends every live channel's sum there,
+    else up to _P_SHORT/2 + 5% past the last channel's first forecast stop, at most
+    _P_CAP.  The channels share their frequencies and the decay, so one call scores
+    every live channel on the same window, and each channel's stop is read off it in
+    one numpy pass, on running totals that add its terms in order; a channel that
+    stops is left out of later calls.  A value is math.fsum of the terms up to the stop.
     """
     du = 2.0 * math.pi * a1T
-    f0 = float(kern.f0(nu, slope))
-    terms, total, p, ref = [0.5 * f0], 0.5 * f0, 1, abs(f0)
+    decay = kernels[0].decay
+    f0 = [float(kern.f0(nu, slope)) for kern in kernels]
+    terms = [[0.5 * x] for x in f0]
+    total, ref = [0.5 * x for x in f0], [abs(x) for x in f0]
+    out: list = [None] * len(kernels)
+    live, p = list(range(len(kernels))), 1
 
     def exponent(k, lib):
-        rates, w1, w2 = kern.decay(nu, du * k, lib)
+        rates, w1, w2 = decay(nu, du * k, lib)
         h = 2.0 * nu * (w2 - w1 + lib.log((1.0 + w1) / (1.0 + w2)))
         return rates, (h - lib.log(w2) if slope else h)
 
@@ -454,39 +524,46 @@ def _matsubara_block(kern: _Kernel, nu: float, a1T: float, rel_tol: float,
         # a1 T that underflowed to 0 takes the array path, to the kernel's check of u > 0
         rate, h = exponent(short - 1, math) if du > 0.0 else (0.0, 0.0)
         r = math.exp(-rate * du)
-        if r < 1.0 and _p_tail(ref * math.exp(h_ref - h), r, short - 1, slope) \
-                <= rel_tol * abs(total):
+        if r < 1.0 and all(_p_tail(ref[i] * math.exp(h_ref - h), r, short - 1, slope)
+                           <= rel_tol * abs(total[i]) for i in live):
             ks = np.arange(p, short)
             u = du * ks
-            rates = kern.decay(nu, u)[0]
+            rates = decay(nu, u)[0]
         else:
             ks = np.arange(p, last)
             rates, h = exponent(ks, np)
-            est = ref * np.exp(h_ref - h)
+            est = np.array([ref[i] for i in live])[:, None] * np.exp(h_ref - h)
             fit = (_p_tail(est, below_one(np.exp(-rates * du)), ks, slope)
-                   <= rel_tol * (abs(total) + np.cumsum(est)))
-            if fit.any():
-                first = int(fit.argmax()) + 1
+                   <= rel_tol * (np.abs([total[i] for i in live])[:, None]
+                                 + np.cumsum(est, axis=1)))
+            if fit.any(axis=1).all():
+                first = int(fit.argmax(axis=1).max()) + 1
                 ks = ks[:first + _P_SHORT // 2 + first // 20]
                 rates = rates[:ks.size]
             u = du * ks
-        values = kern.f(nu, u, slope)
+        values = _joint_f([kernels[i] for i in live], nu, u, slope)
         # r from math.exp, as np.exp can differ from it in the last bit
         r = np.array(list(map(math.exp, (rates * -du).tolist())))
         tails = _p_tail(np.abs(values), below_one(r), ks, slope)
         window = values.tolist()
-        values[0] += total  # the running totals, adding the terms in order
-        sums = np.add.accumulate(values, out=values)
+        values[:, 0] += [total[i] for i in live]  # the running totals, adding the terms in order
+        sums = np.add.accumulate(values, axis=1, out=values)
         stop = tails < rel_tol * np.maximum(np.abs(sums), 1e-300)
-        i = int(stop.argmax())
-        if stop[i]:
-            return math.fsum(terms + window[:i + 1]), float(tails[i]), p + i
-        p += len(window)
+        for row, (i, j) in enumerate(zip(live, stop.argmax(axis=1).tolist())):
+            if stop[row, j]:
+                out[i] = (math.fsum(terms[i] + window[row][:j + 1]), float(tails[row, j]), p + j)
+            else:
+                terms[i] += window[row]
+                total[i], ref[i] = float(sums[row, -1]), abs(window[row][-1])
+        live = [i for i in live if out[i] is None]
+        p += ks.size
+        if not live:
+            return out
         if p > p_max:
-            raise NonConvergenceError(
-                f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p_max)
-        terms += window
-        total, ref = float(sums[-1]), abs(window[-1])
+            for i in live:
+                out[i] = NonConvergenceError(
+                    f"Matsubara sum hit p_max_hard={p_max} (l-order nu={nu})", p_used=p_max)
+            return out
 
 
 def _check_temperature(name: str, T: float, zero: bool = False) -> None:
@@ -495,88 +572,100 @@ def _check_temperature(name: str, T: float, zero: bool = False) -> None:
         raise ValueError(f"{name} requires a finite T {'>=' if zero else '>'} 0, got {T}")
 
 
-def _de_values(integrand, nu: np.ndarray, c: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """F(t) = u'(t) integrand(nu, u(t)) at t = k h, u = c exp(t - e^-t), in one kernel call.
+def _de_values(kernels, nu: np.ndarray, c: np.ndarray, ks: np.ndarray,
+               slope: bool) -> np.ndarray:
+    """F(t) = u'(t) f(nu, u(t)) (or df) at t = k h, u = c exp(t - e^-t), in one kernel call.
 
-    One row per order of ``nu`` (with its scale in ``c``), one column per
-    integer of ``ks``; the orders reach the kernel as a column.
+    One row per kernel, then one per order of ``nu`` (with its scale in
+    ``c``), then one column per integer of ``ks``; the orders reach the
+    kernel as a column.
     """
     t = ks * _DE_STEP
     e = np.exp(-t)
     u = c[:, None] * np.exp(t - e)
-    return u * (1.0 + e) * integrand(nu[:, None], u)
+    return u * (1.0 + e) * _joint_f(kernels, nu[:, None], u, slope)
 
 
-def _de_block_walk(integrand, nu: np.ndarray, c: np.ndarray) -> list:
-    """The nodes k and values F(k h) of _zero_t_integrals' walk, two arrays per order.
+def _de_block_walk(kernels, nu: np.ndarray, c: np.ndarray, slope: bool = False) -> list:
+    """The nodes k and values F(k h) of _zero_t_integrals' walk: per order, one pair of
+    arrays per kernel.
 
-    ``nu`` holds the orders of a kernel column (_Kernel.log_m), and ``c``
-    their scales.  The first kernel call scores _DE_BLOCK nodes per
-    side of every order.  On each block the running maximum along a row
-    finds the node where a one-node walk would stop (the right side's peak
-    carried into the left side); the nodes past it are dropped, and the
-    orders whose side has not stopped are scored one block further, together.
+    ``nu`` holds the orders of a kernel column (_joint_log_m), and ``c``
+    their scales; the kernels share the nodes.  The first kernel call scores
+    _DE_BLOCK nodes per side of every order.  On each block the running
+    maximum along a row (one kernel's order) finds the node where a one-node
+    walk would stop (the right side's peak carried into the left side); the
+    nodes past it are dropped, and the orders where some kernel's side has not
+    stopped are scored one block further, together, for every kernel (a
+    kernel whose side has stopped drops them).
     """
-    first = _de_values(integrand, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK))
-    kept = [([], []) for _ in range(nu.size)]
-    peak = np.zeros((nu.size, 1))
-    for step, block in ((1, first[:, _DE_BLOCK:]), (-1, first[:, _DE_BLOCK - 1::-1])):
+    first = _de_values(kernels, nu, c, np.arange(-_DE_BLOCK, _DE_BLOCK), slope)
+    kept = [[([], []) for _ in kernels] for _ in range(nu.size)]
+    peak = np.zeros((len(kernels), nu.size, 1))
+    for step, block in ((1, first[..., _DE_BLOCK:]), (-1, first[..., _DE_BLOCK - 1::-1])):
         offsets = step * np.arange(_DE_BLOCK)
-        rows, row_peaks = list(range(nu.size)), peak
+        rows = list(range(nu.size))
+        going = np.ones((len(kernels), nu.size), bool)
         k = 0 if step > 0 else -1
         while True:
             ks = k + offsets
             size = np.abs(block)
-            running = np.maximum.accumulate(np.maximum(size, row_peaks), axis=1)
+            running = np.maximum.accumulate(np.maximum(size, peak[:, rows]), axis=2)
             stops = size <= _DE_CUT * running
             if step > 0:
                 stops &= ks * _DE_STEP >= 1.0
-            going = []
-            for i, (row, flags) in enumerate(zip(rows, stops.tolist())):
-                stopped = True in flags
-                n = flags.index(True) + 1 if stopped else _DE_BLOCK
-                kept[row][0].append(ks[:n])
-                kept[row][1].append(block[i, :n])
-                peak[row, 0] = running[i, n - 1]
-                if not stopped:
-                    going.append(row)
-            if not going:
+            for j, flags in enumerate(stops.tolist()):
+                for i, (row, row_flags) in enumerate(zip(rows, flags)):
+                    if not going[j, row]:
+                        continue
+                    stopped = True in row_flags
+                    n = row_flags.index(True) + 1 if stopped else _DE_BLOCK
+                    kept[row][j][0].append(ks[:n])
+                    kept[row][j][1].append(block[j, i, :n])
+                    peak[j, row, 0] = running[j, i, n - 1]
+                    going[j, row] = not stopped
+            rows = [row for row in rows if going[:, row].any()]
+            if not rows:
                 break
-            rows, row_peaks = going, peak[going]
             k += step * _DE_BLOCK
-            block = _de_values(integrand, nu[rows], c[rows], k + offsets)
-    return [(np.concatenate(ks), np.concatenate(values)) for ks, values in kept]
+            block = _de_values(kernels, nu[rows], c[rows], k + offsets, slope)
+    return [[(np.concatenate(ks), np.concatenate(values)) for ks, values in row]
+            for row in kept]
 
 
-def _zero_t_integrals(kern: _Kernel, nu: list[float],
-                      slope: bool = False) -> list[tuple[float, float]]:
+def _zero_t_integrals(kernels, nu: list[float], slope: bool = False) -> list:
     """int_0^infty f(nu, u) du, or with ``slope`` that of df, and its error
-    estimate for each order of ``nu``.
+    estimate for each order of ``nu``: per order, one (value, error) per kernel.
 
     The trapezoid rule in t under the exp-DE map u = c exp(t - e^-t) (Ooura &
     Mori 1991) at step h = _DE_STEP, with c = min(nu, sqrt(q (2 nu + q))),
-    q = 1/(r21^2 - 1), where |M| has fallen by about e.  The walk goes out
-    from t = 0 on each side, the right one to t >= 1 at least, and stops at
-    the first node with |F| <= _DE_CUT max|F|, on the left long before u,
-    which falls like exp(-e^-t), underflows; a node where f is 0 adds 0.  The
-    kernel scores a block of nodes of every order per call (_de_block_walk)
-    on a column of orders (_Kernel.log_m), so ``nu`` holds one order below
-    nu = 50 or any number at nu >= 50.  The estimate is d1^2/d2 from the sums at 2h
-    and 4h on the same nodes, plus a rounding allowance that grows with nu,
-    as the kernel's exponent 2 nu w loses digits in proportion.  Every sum
-    is math.fsum of one order's nodes, so no order changes another's result.
+    q = 1/(r21^2 - 1), where |M| has fallen by about e; c does not depend on
+    the channel, so the kernels share the nodes.  The walk goes out from
+    t = 0 on each side, the right one to t >= 1 at least, and stops at the
+    first node with |F| <= _DE_CUT max|F|, on the left long before u, which
+    falls like exp(-e^-t), underflows; a node where f is 0 adds 0.  The kernel
+    scores a block of nodes of every order and kernel per call
+    (_de_block_walk) on a column of orders (_joint_log_m), so ``nu`` holds one
+    order below nu = 50 or any number at nu >= 50.  The estimate is d1^2/d2
+    from the sums at 2h and 4h on the same nodes, plus a rounding allowance
+    that grows with nu, as the kernel's exponent 2 nu w loses digits in
+    proportion.  Every sum is math.fsum of one kernel's nodes of one order, so
+    no order or kernel changes another's result.
     """
-    q = 1.0 / (kern.r21 * kern.r21 - 1.0)
+    r21 = kernels[0].r21
+    q = 1.0 / (r21 * r21 - 1.0)
     c = [min(order, math.sqrt(q * (2.0 * order + q))) for order in nu]
     out = []
-    walk = _de_block_walk(lambda n, u: kern.f(n, u, slope), np.array(nu), np.array(c))
-    for order, (k, values) in zip(nu, walk):
-        s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
-                           for m in (1, 2, 4))
-        d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
-        rounding = (128.0 + 2.0 * order) * np.finfo(float).eps * _DE_STEP \
-            * math.fsum(np.abs(values).tolist())
-        out.append((s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding))
+    for order, walks in zip(nu, _de_block_walk(kernels, np.array(nu), np.array(c), slope)):
+        row = []
+        for k, values in walks:
+            s_h, s_2h, s_4h = (m * _DE_STEP * math.fsum(values[k % m == 0].tolist())
+                               for m in (1, 2, 4))
+            d1, d2 = abs(s_h - s_2h), abs(s_h - s_4h)
+            rounding = (128.0 + 2.0 * order) * np.finfo(float).eps * _DE_STEP \
+                * math.fsum(np.abs(values).tolist())
+            row.append((s_h, (d1 * d1 / d2 if d2 > 0.0 else d1) + rounding))
+        out.append(row)
     return out
 
 
@@ -617,19 +706,22 @@ def _exact_sum(geometry: Geometry, bc_pair: BoundaryPair, channel: Optional[Chan
     scale = unit / (2.0 * math.pi * geometry.a1) if T == 0.0 else unit * T
     a1T = geometry.a1 * T
 
-    def exact_terms(kern, nu, d_l):
+    def exact_terms(kernels, nu, d_l):
         if T == 0.0:
-            blocks = ((*integral, 0) for integral in _zero_t_integrals(kern, nu, slope))
+            blocks = ([(*integral, 0) for integral in row]
+                      for row in _zero_t_integrals(kernels, nu, slope))
         else:
-            blocks = (_matsubara_block(kern, n, a1T, policy.rel_tol / 20.0,
+            blocks = (_matsubara_block(kernels, n, a1T, policy.rel_tol / 20.0,
                                        policy.p_max_hard, slope) for n in nu)
-        for (block, error, p), d in zip(blocks, d_l):
-            yield scale * d * block, abs(scale) * d * error, p
+        for row, ds in zip(blocks, d_l):
+            yield [outcome if isinstance(outcome, NonConvergenceError) else
+                   (scale * d * outcome[0], abs(scale) * d * outcome[1], outcome[2])
+                   for outcome, d in zip(row, ds)]
 
     power = geometry.dim - 2 + (T == 0.0) + slope
-    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, exact_terms,
-        _certified_stop(policy, power, geometry.alpha_log),
+    res = _by_channel(geometry, bc_pair, channel, lambda kernels: _l_by_l(
+        kernels, geometry.dim, policy, exact_terms,
+        lambda: _certified_stop(policy, power, geometry.alpha_log),
         _orders_to_stop(policy, power, geometry.alpha_log)))
     return _certified(res, policy)
 
@@ -660,23 +752,35 @@ def thermal_correction(geometry: Geometry, bc_pair: BoundaryPair,
     handful of l survive.  The error estimate adds the certified l-tail of
     the last difference (_difference_stop).  A warning is attached when the
     correction is within a decade of the combined error estimate.
+
+    Unlike the other exact routes, it does not enforce ``policy.rel_tol``: it
+    returns its estimate even where that exceeds rel_tol * |value|.  At D = 3,
+    eps = 0.02, pc,pc and T = 3 (default policy) it stops at l_used 69 with an
+    estimate of 2.4e-8 of |value|.
     """
     _check_temperature("thermal_correction", T)
     a1T = geometry.a1 * T
     inv_2pi_a1 = 1.0 / (2.0 * math.pi * geometry.a1)
 
-    def difference_terms(kern, nu, d_l):
-        for n, d in zip(nu, d_l):
-            block, ptail, p = _matsubara_block(kern, n, a1T, 1e-14, policy.p_max_hard)
-            (integral, ierr), = _zero_t_integrals(kern, [n])
-            delta = d * (T * block - inv_2pi_a1 * integral)
-            truncation = d * (T * ptail + inv_2pi_a1 * ierr)
-            rounding = d * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
-            yield delta, truncation + rounding, p
+    def difference_terms(kernels, nu, d_l):
+        for n, ds in zip(nu, d_l):
+            sums = _matsubara_block(kernels, n, a1T, 1e-14, policy.p_max_hard)
+            integrals, = _zero_t_integrals(kernels, [n])
+            row = []
+            for outcome, (integral, ierr), d in zip(sums, integrals, ds):
+                if isinstance(outcome, NonConvergenceError):
+                    row.append(outcome)
+                    continue
+                block, ptail, p = outcome
+                delta = d * (T * block - inv_2pi_a1 * integral)
+                truncation = d * (T * ptail + inv_2pi_a1 * ierr)
+                rounding = d * 4e-16 * (abs(T * block) + abs(inv_2pi_a1 * integral))
+                row.append((delta, truncation + rounding, p))
+            yield row
 
-    res = _by_channel(geometry, bc_pair, channel, lambda kern: _l_by_l(
-        kern, geometry.dim, policy, difference_terms,
-        _difference_stop(policy, geometry.dim - 2, geometry.alpha_log)))
+    res = _by_channel(geometry, bc_pair, channel, lambda kernels: _l_by_l(
+        kernels, geometry.dim, policy, difference_terms,
+        lambda: _difference_stop(policy, geometry.dim - 2, geometry.alpha_log)))
     if abs(res.value) < 10.0 * res.error_estimate:
         msg = (f"thermal correction {res.value:.3e} is within a decade of its combined "
                f"error estimate {res.error_estimate:.3e}; digits are not trustworthy")

@@ -141,6 +141,41 @@ def test_kernel_scores_both_spheres_per_bessel_call(pair, ch, monkeypatch):
         assert len(calls) <= 4, calls
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("pair", [PCPC, IPIP, PCIP, IPPC], ids=str)
+def test_joint_kernel_rows_are_the_single_channel_kernels(dim, pair):
+    """Each channel's row of one TE-and-TM kernel call is that channel's _Kernel.f to
+    the bit, with and without the slope, at orders on both sides of nu = 50
+    (nu 48.5, 49.5 and 50.5 at odd D), where the TE and TM rows share their Bessel
+    calls, and at nu >= 50, where each channel takes its ratio form."""
+    g = Geometry.from_eps(0.3, dim)
+    kernels = [exact._Kernel(g, pair, ch) for ch in (Channel.TE, Channel.TM)]
+    u = np.logspace(-3.0, 3.0, 25)
+    for l, slope in itertools.product((1, 20, 47, 48, 49, 50, 80), (False, True)):
+        nu = nu_of(l, dim)
+        rows = exact._joint_f(kernels, nu, u, slope)
+        assert rows.shape == (2, u.size)
+        for ch, kern, row in zip(Channel, kernels, rows):
+            assert np.array_equal(row, kern.f(nu, u, slope)), (l, slope, ch)
+
+
+@pytest.mark.parametrize("pair", [PCPC, IPIP, PCIP, IPPC], ids=str)
+def test_joint_kernel_scores_both_channels_per_bessel_call(pair, monkeypatch):
+    """Below nu = 50 one TE-and-TM kernel call makes at most 4 ln B calls for both
+    channels, also with the slope: I_nu, I_(nu+1), K_nu and K_|nu-1|."""
+    calls = []
+    original = bessel._log_bessel_array
+    monkeypatch.setattr(bessel, "_log_bessel_array",
+                        lambda *args: calls.append(args[:2]) or original(*args))
+    g = Geometry.from_eps(0.3, 3)
+    kernels = [exact._Kernel(g, pair, ch) for ch in (Channel.TE, Channel.TM)]
+    u = np.logspace(-3.0, 3.0, 25)
+    for nu, slope in itertools.product((1.5, 20.5, 49.5), (False, True)):
+        calls.clear()
+        exact._joint_f(kernels, nu, u, slope)
+        assert 2 <= len(calls) <= 4, calls
+
+
 @pytest.mark.parametrize("l", [10, 60])  # below and above the nu = 50 seam
 @pytest.mark.parametrize("xi", [math.nan, math.inf])
 def test_non_finite_xi_rejected(l, xi):
@@ -514,7 +549,7 @@ def test_frequency_integral_within_its_estimate_of_quadpack(slope):
     for (eps, l), (dim, bc, ch) in _ORACLE_CASES:
         kern = exact._Kernel(Geometry.from_eps(eps, dim), BoundaryPair.from_string(bc), ch)
         nu = nu_of(l, dim)
-        (got, est), = exact._zero_t_integrals(kern, [nu], slope)
+        ((got, est),), = exact._zero_t_integrals([kern], [nu], slope)
         want, qerr = _quad_reference(kern, nu, slope)
         if not (abs(got - want) <= est + qerr and est <= 1e-12 * abs(got)):
             misses.append(f"eps={eps} D={dim} {bc} {ch.value} l={l}: {got!r} +- {est:.2e} "
@@ -610,17 +645,16 @@ def test_matsubara_sum_with_an_infinite_tail_bound_fails_at_its_cap():
     assert np.count_nonzero(np.exp(-kern.decay(1.5, u)[0] * du) == 1.0) == 7
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError) as info:
-            exact._matsubara_block(kern, 1.5, 1e-9, 1e-9, 20)
-    assert info.value.p_used == 20
+        outcome, = exact._matsubara_block([kern], 1.5, 1e-9, 1e-9, 20)
+    assert isinstance(outcome, NonConvergenceError) and outcome.p_used == 20
 
 
 def _matsubara_outcome(kern, nu, a1T, p_max, slope):
     """(value, tail, p) of one order's Matsubara sum, or its failure's p_used."""
-    try:
-        return exact._matsubara_block(kern, nu, a1T, 5e-11, p_max, slope)
-    except NonConvergenceError as exc:
-        return NonConvergenceError, exc.p_used
+    outcome, = exact._matsubara_block([kern], nu, a1T, 5e-11, p_max, slope)
+    if isinstance(outcome, NonConvergenceError):
+        return NonConvergenceError, outcome.p_used
+    return outcome
 
 
 @pytest.mark.parametrize("slope", [False, True])
@@ -648,7 +682,7 @@ def test_windows_match_the_one_frequency_oracle_at_the_edges(monkeypatch, slope)
     with warnings.catch_warnings():  # a1 T that underflows to 0 reaches the kernel's check
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="argument must be finite and > 0"):
-            exact._matsubara_block(kernels[0], 1.5, 0.0, 5e-11, 50, slope)
+            exact._matsubara_block(kernels[:1], 1.5, 0.0, 5e-11, 50, slope)
     outcomes = dict(zip(cases, windowed))
     assert outcomes[1.5, 1e-9, 40] == (NonConvergenceError, 40)
     assert outcomes[300.5, 100.0, 10**5][2] == 1
@@ -694,31 +728,35 @@ def test_window_stops_match_a_loop_over_frequencies(slope):
 
 def test_low_T_sums_take_about_one_kernel_call_per_order(monkeypatch):
     # each kernel call scores the frequencies up to the predicted stop, so
-    # sums of 80-260 frequencies per order take about one call per order
-    counts = {"calls": 0, "orders": 0}
+    # sums of 80-260 frequencies per order take about one call per order; a
+    # call scores TE and TM at once, so a block (one order of every live
+    # channel) takes at least one call and about one
+    counts = {"calls": 0, "orders": 0, "blocks": 0}
     inside = [False]
-    kernel_f, block = exact._Kernel.f, exact._matsubara_block
+    kernel_f, block = exact._joint_f, exact._matsubara_block
 
-    def spy_f(self, nu, u, slope=False):
+    def spy_f(kernels, nu, u, slope=False):
         counts["calls"] += inside[0]
-        return kernel_f(self, nu, u, slope)
+        return kernel_f(kernels, nu, u, slope)
 
-    def spy_block(*args):
+    def spy_block(kernels, *args):
         inside[0] = True
         try:
-            return block(*args)
+            return block(kernels, *args)
         finally:
             inside[0] = False
-            counts["orders"] += 1
+            counts["orders"] += len(kernels)
+            counts["blocks"] += 1
 
-    monkeypatch.setattr(exact._Kernel, "f", spy_f)
+    monkeypatch.setattr(exact, "_joint_f", spy_f)
     monkeypatch.setattr(exact, "_matsubara_block", spy_block)
     g = Geometry.from_eps(0.5, 3)
     for run in (lambda: free_energy(g, PCPC, None, 0.05),
                 lambda: thermal_correction(g, PCPC, None, 0.05)):
-        counts.update(calls=0, orders=0)
+        counts.update(calls=0, orders=0, blocks=0)
         assert run().p_used > 64
-        assert counts["orders"] > 10 and counts["calls"] <= 1.2 * counts["orders"]
+        assert counts["orders"] > 10
+        assert counts["blocks"] <= counts["calls"] <= 1.2 * counts["blocks"]
     # past nu = 50 the sum takes blocks of orders, whose sums it scores one at a
     # time as the stop reads them: none past the stop
     counts.update(orders=0)
@@ -759,13 +797,13 @@ def test_blocks_change_no_result(monkeypatch, width):
             zero_T_energy(Geometry.from_eps(0.2, 3), PCPC, Channel.TE,
                           TruncationPolicy(l_max_hard=60))
         kern = exact._Kernel(Geometry.from_eps(0.05, 5), PCIP, Channel.TM)
-        integrals = [exact._zero_t_integrals(kern, nu, slope)
+        integrals = [exact._zero_t_integrals([kern], nu, slope)
                      for nu in ([1.5], [10.5], [49.5], [50.5, 61.5, 300.5], [300.5])
                      for slope in (False, True)]
         forces = (exact._force(Geometry.from_eps(0.2, 3), PCPC, 0.0, FAST),
                   exact._force(Geometry.from_eps(0.5, 3), PCIP, 0.05, FAST))
         walks = [[tuple(a.tolist() for a in walk)
-                  for walk in exact._de_block_walk(walk_kern.f, np.array(nu), np.array(c))]
+                  for (walk,) in exact._de_block_walk([walk_kern], np.array(nu), np.array(c))]
                  for nu, c in (([10.5], [0.5]), ([10.5], [5.0]), ([10.5], [50.0]),
                                ([60.5, 60.5, 60.5], [0.5, 5.0, 50.0]))]
         return (free, low, correction,
@@ -786,6 +824,34 @@ def test_blocks_change_no_result(monkeypatch, width):
     monkeypatch.setattr(exact, "_DE_BLOCK", width)
     monkeypatch.setattr(exact, "_L_BLOCK", width)
     assert run() == blocked
+
+
+# (route, args) where TE and TM stop at different l: TE/TM l_used 44/43, 46/45,
+# 5/6, 32/31 and 32/31.
+_LOCKSTEP_CASES = [
+    (zero_T_energy, (Geometry.from_eps(0.3, 5), PCIP), (FAST,)),
+    (free_energy, (Geometry.from_eps(0.4, 5), PCIP), (0.1,)),
+    (thermal_correction, (Geometry.from_eps(0.4, 5), PCPC), (0.05,)),
+    ("force", (Geometry.from_eps(0.4, 3), PCIP), (0.0, FAST)),
+    ("force", (Geometry.from_eps(0.4, 3), PCIP), (0.1, FAST)),
+]
+
+
+@pytest.mark.parametrize("route, head, tail", _LOCKSTEP_CASES,
+                         ids=["zero_T", "free", "thermal", "force T=0", "force T=0.1"])
+def test_lockstep_walk_gives_the_single_channel_results(route, head, tail):
+    # TE and TM walked in lockstep give each channel's value, to the bit, and the
+    # larger of their l_used and p_used, also where they stop at different l
+    if route == "force":  # _force runs the channels of _exact_sum with the slope
+        total = exact._force(*head, *tail)
+        single = [exact._exact_sum(*head, ch, *tail, slope=True) for ch in Channel]
+    else:
+        total = route(*head, None, *tail)
+        single = [route(*head, ch, *tail) for ch in Channel]
+    assert single[0].l_used != single[1].l_used
+    assert total.per_channel == {ch.value: res.value for ch, res in zip(Channel, single)}
+    assert total.l_used == max(res.l_used for res in single)
+    assert total.p_used == max(res.p_used for res in single)
 
 
 def test_partial_keeps_finished_channels():

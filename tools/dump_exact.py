@@ -6,7 +6,9 @@ float.hex) or the exception type and its ``partial``, ``l_used`` and
 ``p_used``; a force call records the result whose value ``force`` returns.
 The thermal corrections run at a1 T from 1e-3 to 3: at T = 1 and 3 (D = 3,
 eps = 0.5, pc,pc and pc,ip) their l-sums stop on the tail of differences
-that fall like the free energy's terms.
+that fall like the free energy's terms.  The last calls sum TE and TM
+where the two channels stop at different l, at T = 0 and above, for the
+thermal correction and for the force.
 Then come the exact tables behind the series: every term of the small-gap
 expansions (D 3..16, four pairs, TE/TM/total) and of the assembly route
 (D 4..16), the degeneracy
@@ -196,6 +198,18 @@ def calls():
     # At T = 0.002 the df sums cross windows: p_used 2436, in 128 kernel calls.
     yield ("force T=0.002 D=3 eps=0.5 bc=pc,ip", exact._force,
            (Geometry.from_eps(0.5, 3), BoundaryPair.from_string("pc,ip"), 0.002, fast))
+    # TE and TM walk in lockstep, each to its own stop: here they stop at
+    # different l (TE/TM l_used 44/43, 46/45, 5/6, 32/31 and 32/31).
+    pcip = BoundaryPair.from_string("pc,ip")
+    yield ("lockstep zeroT D=5 eps=0.3 bc=pc,ip", zero_T_energy,
+           (Geometry.from_eps(0.3, 5), pcip, None, fast))
+    yield ("lockstep free T=0.1 D=5 eps=0.4 bc=pc,ip", free_energy,
+           (Geometry.from_eps(0.4, 5), pcip, None, 0.1))
+    yield ("lockstep thermal T=0.05 D=5 eps=0.4 bc=pc,pc", thermal_correction,
+           (Geometry.from_eps(0.4, 5), pcpc, None, 0.05))
+    for temp in (0.0, 0.1):
+        yield (f"lockstep force T={temp} D=3 eps=0.4 bc=pc,ip", exact._force,
+               (Geometry.from_eps(0.4, 3), pcip, temp, fast))
 
 
 def cli_runs():
